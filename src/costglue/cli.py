@@ -6,7 +6,7 @@ fixed configuration and emits its report as JSON (default) or markdown;
 of (suite, seed, iterations, mode): two runs with the same configuration
 produce byte-identical output.  Exit status is 0 when every case
 passed, 1 on any failed case or internal invariant breach, and 2 for
-usage errors.
+usage errors, an unwritable report path among them.
 """
 
 from __future__ import annotations
@@ -155,8 +155,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     text = emit_report(report, config.format)
     if config.report_path:
-        with open(config.report_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(config.report_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as err:
+            print(
+                f"costglue: error: cannot write report to {config.report_path!r}: {err.strerror}",
+                file=sys.stderr,
+            )
+            return 2
     else:
         sys.stdout.write(text)
     return 0 if report.passed else 1

@@ -28,7 +28,7 @@ class Cost:
     value: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.value, int):
+        if type(self.value) is bool or not isinstance(self.value, int):
             raise TypeError(f"cost must be an integer, got {type(self.value).__name__}")
         if self.value < 0:
             raise ValueError(f"cost must be non-negative, got {self.value}")

@@ -16,6 +16,12 @@ Evaluation modes narrow what a sweep is allowed to observe:
 * ``BEHAVIORAL`` checks abstract agreement only; cost is erased.
 * ``CONCRETE``  runs implementations and records cost tables without
                 judging abstract agreement.
+
+Every case is recorded through ``ReportBuilder.case(ok, law, detail)``.
+``detail`` is a zero-argument callable returning the ``(input, expected,
+actual)`` triple of a failure record; it is called, and its values
+rendered, only when ``ok`` is false, so a passing case costs no
+rendering at all.
 """
 
 from __future__ import annotations
@@ -128,16 +134,17 @@ class ReportBuilder:
         self.failures: List[Failure] = []
         self._costs: Dict[int, List[int]] = {}
 
-    def case(self, ok: bool, law: str, input_: Any, expected: Any, actual: Any) -> bool:
-        self.cases += 1
-        if not ok:
-            self.failures.append(
-                Failure(render(input_), render(expected), render(actual), law)
-            )
+    def case(self, ok: bool, law: str, detail: Callable[[], Tuple[Any, Any, Any]]) -> bool:
+        """Count one case; on failure, record ``detail()``'s (input, expected, actual)."""
+        if ok:
+            self.cases += 1
+        else:
+            self.fail(law, *detail())
         return ok
 
     def fail(self, law: str, input_: Any, expected: Any, actual: Any) -> None:
-        self.case(False, law, input_, expected, actual)
+        self.cases += 1
+        self.failures.append(Failure(render(input_), render(expected), render(actual), law))
 
     def cost_row(self, size: int, impl_cost: int, spec_cost: int) -> None:
         row = self._costs.setdefault(size, [0, 0])
@@ -176,28 +183,6 @@ def mode_gates(mode: EvaluationMode) -> Tuple[bool, bool]:
     return True, True
 
 
-# -- operation traces ------------------------------------------------------
-
-@dataclass(frozen=True)
-class OpTrace:
-    """A sequence of (operation name, argument tuple) pairs."""
-
-    ops: Tuple[Tuple[str, Tuple[Any, ...]], ...]
-
-    def __len__(self) -> int:
-        return len(self.ops)
-
-    def validate(self, interface: Dict[str, int]) -> None:
-        """Check every op resolves in the interface with the right arity."""
-        for name, args in self.ops:
-            if name not in interface:
-                raise ValueError(f"operation {name!r} not in interface {sorted(interface)}")
-            if len(args) != interface[name]:
-                raise ValueError(
-                    f"operation {name!r} expects {interface[name]} arguments, got {len(args)}"
-                )
-
-
 # -- commuting squares -----------------------------------------------------
 
 @dataclass(frozen=True)
@@ -218,6 +203,38 @@ class SquareSpec:
     lax: bool = False
 
 
+def commute(
+    rb: ReportBuilder,
+    square: SquareSpec,
+    x: Any,
+    check_beh: bool,
+    check_cost: bool,
+) -> Tuple[Charged[Any], Charged[Any]]:
+    """Check that ``square`` commutes at ``x``: one case, both paths returned.
+
+    Behavior must agree under ``alpha_out`` when ``check_beh``; costs must
+    be equal (strict) or bounded (lax) when ``check_cost``.  Returns the
+    concrete and the abstract result, so a caller can step a trace or
+    record a cost row.
+    """
+    top = square.f_top(x)
+    bottom = square.f_abs(square.alpha_in.apply(x))
+    mapped = square.alpha_out.apply(top.value)
+    beh_ok = not check_beh or square.alpha_out.abs_eq(mapped, bottom.value)
+    cost_ok = not check_cost or (top.cost <= bottom.cost if square.lax else top.cost == bottom.cost)
+    kind, relation = ("lax", "<=") if square.lax else ("strict", "==")
+    rb.case(
+        bool(beh_ok and cost_ok),
+        f"square/{square.name}/{kind}",
+        lambda: (
+            x,
+            f"image {render(bottom.value)} at cost {relation} {bottom.cost.value}",
+            f"image {render(mapped)} at cost {top.cost.value}",
+        ),
+    )
+    return top, bottom
+
+
 def check_square(
     square: SquareSpec,
     inputs: Callable[[random.Random], Any],
@@ -228,12 +245,10 @@ def check_square(
     mode: EvaluationMode = EvaluationMode.FULL,
     size_of: Optional[Callable[[Any], int]] = None,
 ) -> Report:
-    """Sample inputs and check that the square commutes.
+    """Sample inputs and check that the square commutes at each (``commute``).
 
-    Behavior must agree under ``alpha_out`` in every mode that observes
-    it; costs must be equal (strict) or bounded (lax) in modes that
-    observe cost.  Each sampled input contributes one case and one cost
-    row keyed by ``size_of`` (input size 0 when not supplied).
+    Each sampled input contributes one case and one cost row keyed by
+    ``size_of`` (input size 0 when not supplied).
     """
     suite = suite or f"square/{square.name}"
     rb = ReportBuilder(suite, seed, n, mode)
@@ -241,26 +256,7 @@ def check_square(
     check_beh, check_cost = mode_gates(mode)
     for _ in range(n):
         x = inputs(rng)
-        top = square.f_top(x)
-        bottom = square.f_abs(square.alpha_in.apply(x))
-        mapped = square.alpha_out.apply(top.value)
-        ok = True
-        if check_beh and not square.alpha_out.abs_eq(mapped, bottom.value):
-            ok = False
-        if check_cost:
-            if square.lax:
-                if not top.cost <= bottom.cost:
-                    ok = False
-            elif top.cost != bottom.cost:
-                ok = False
-        relation = "<=" if square.lax else "=="
-        rb.case(
-            ok,
-            f"square/{square.name}/{'lax' if square.lax else 'strict'}",
-            x,
-            f"image {render(bottom.value)} at cost {relation} {bottom.cost.value}",
-            f"image {render(mapped)} at cost {top.cost.value}",
-        )
+        top, bottom = commute(rb, square, x, check_beh, check_cost)
         rb.cost_row(size_of(x) if size_of else 0, top.cost.value, bottom.cost.value)
     return rb.build()
 
@@ -300,9 +296,7 @@ def check_noninterference(
                 rb.case(
                     ok,
                     f"noninterference/{ni}~{nj}",
-                    x,
-                    render(oi),
-                    render(oj),
+                    lambda: (x, render(oi), render(oj)),
                 )
     return rb.build()
 
@@ -367,25 +361,19 @@ def check_abstract_monoid(
         rb.case(
             eq(image(left), image(right)),
             "monoid/assoc",
-            (a, b, c),
-            render(image(right)),
-            render(image(left)),
+            lambda: ((a, b, c), render(image(right)), render(image(left))),
         )
         lu = append(empty, a).value
         rb.case(
             eq(image(lu), image(a)),
             "monoid/left-unit",
-            a,
-            render(image(a)),
-            render(image(lu)),
+            lambda: (a, render(image(a)), render(image(lu))),
         )
         ru = append(a, empty).value
         rb.case(
             eq(image(ru), image(a)),
             "monoid/right-unit",
-            a,
-            render(image(a)),
-            render(image(ru)),
+            lambda: (a, render(image(a)), render(image(ru))),
         )
     return rb.build()
 
@@ -419,9 +407,11 @@ def check_abstract_hom(
     rb.case(
         (not check_beh) or eq(image(f_empty), image(dst_ops.empty)),
         "hom/empty",
-        render(alpha_src.apply(src_ops.empty)),
-        render(image(dst_ops.empty)),
-        render(image(f_empty)),
+        lambda: (
+            render(alpha_src.apply(src_ops.empty)),
+            render(image(dst_ops.empty)),
+            render(image(f_empty)),
+        ),
     )
     for _ in range(n):
         x1, x2, e = inputs(rng)
@@ -433,18 +423,18 @@ def check_abstract_hom(
         rb.case(
             eq(image(via_src), image(via_dst)),
             "hom/append",
-            (alpha_src.apply(x1), alpha_src.apply(x2)),
-            render(image(via_dst)),
-            render(image(via_src)),
+            lambda: (
+                (alpha_src.apply(x1), alpha_src.apply(x2)),
+                render(image(via_dst)),
+                render(image(via_src)),
+            ),
         )
         one_src = f(src_ops.singleton(e)).value
         one_dst = dst_ops.singleton(e)
         rb.case(
             eq(image(one_src), image(one_dst)),
             "hom/singleton",
-            e,
-            render(image(one_dst)),
-            render(image(one_src)),
+            lambda: (e, render(image(one_dst)), render(image(one_src))),
         )
     return rb.build()
 
@@ -491,17 +481,13 @@ def check_universal_property(
         rb.case(
             target.eq(reduced, folded),
             f"universal/{target.name}/agrees-with-fold",
-            render(seq.alpha.apply(x)),
-            render(folded),
-            render(reduced),
+            lambda: (render(seq.alpha.apply(x)), render(folded), render(reduced)),
         )
         for hom_name, hom in extra_homs:
             other = hom(x).value
             rb.case(
                 target.eq(other, reduced),
                 f"universal/{target.name}/unique/{hom_name}",
-                render(seq.alpha.apply(x)),
-                render(reduced),
-                render(other),
+                lambda: (render(seq.alpha.apply(x)), render(reduced), render(other)),
             )
     return rb.build()

@@ -30,9 +30,6 @@ E = TypeVar("E")
 
 DEFAULT_ELEMENT = 0
 
-# Operation name -> arity, for trace validation.
-QUEUE_INTERFACE = {"enqueue": 1, "dequeue": 0}
-
 
 @dataclass(frozen=True)
 class ListQueueState:

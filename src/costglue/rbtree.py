@@ -94,10 +94,6 @@ class Node(RBTree):
 EMPTY = Empty()
 
 
-def empty() -> RBTree:
-    return EMPTY
-
-
 def singleton(e: Any) -> RBTree:
     return Leaf(e)
 

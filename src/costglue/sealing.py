@@ -16,7 +16,7 @@ seal can be relaxed to any weaker specification (``reseal``).
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Generic, TypeVar
 
 from .cost import Charged, CostLike, bind, charge, leq, ret
@@ -47,11 +47,15 @@ class BoundViolation(Exception):
 
 @dataclass(frozen=True)
 class Sealed(Generic[T]):
-    """An implementation/specification pair validated at construction."""
+    """An implementation/specification pair validated at construction.
+
+    Seals compare by their two computations; ``beh_eq`` is how they were
+    checked, not part of what they are.
+    """
 
     impl: Charged[T]
     spec: Charged[T]
-    beh_eq: Callable[[T, T], bool] = operator.eq
+    beh_eq: Callable[[T, T], bool] = field(default=operator.eq, compare=False)
 
     def __post_init__(self) -> None:
         cost_ok = self.impl.cost <= self.spec.cost

@@ -113,6 +113,13 @@ class TestUsageErrors:
             main(["bogus"])
         assert info.value.code == 2
 
+    def test_unwritable_report_path_exits_2(self, tmp_path, capsys) -> None:
+        path = str(tmp_path / "missing" / "x.json")
+        code, out, err = run_cli(capsys, "run", "--suite", "cost/laws", "--iters", "2", "--report", path)
+        assert code == 2
+        assert out == ""
+        assert err == f"costglue: error: cannot write report to {path!r}: No such file or directory\n"
+
     def test_bad_format_exits_2(self, capsys) -> None:
         with pytest.raises(SystemExit) as info:
             main(["run", "--suite", "cost/laws", "--format", "xml"])

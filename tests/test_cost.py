@@ -45,6 +45,11 @@ class TestCost:
         with pytest.raises(TypeError):
             Cost(1.5)  # type: ignore[arg-type]
 
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_rejects_bool(self, flag: bool) -> None:
+        with pytest.raises(TypeError, match="got bool"):
+            Cost(flag)
+
     def test_max_boundary(self) -> None:
         assert Cost(MAX_COST).value == MAX_COST
         with pytest.raises(OverflowError):

@@ -1,0 +1,155 @@
+"""Failure records of broken implementations, pinned byte for byte.
+
+Each test installs a broken implementation in ``costglue.suites``, where
+the suites look it up when they run, and checks the failure records that
+come out: what a user sees when a suite rejects an implementation.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from costglue import cost, queues, sorting, suites
+from costglue.cost import Charged, Cost
+from costglue.phase import EvaluationMode
+
+FULL = EvaluationMode.FULL
+BEHAVIORAL = EvaluationMode.BEHAVIORAL
+
+
+def _records(rep):
+    return [(f.law, f.input, f.expected, f.actual) for f in rep.failures]
+
+
+def misordering_isort(items):
+    """Reverses, and counts half the comparisons, on inputs of 9 or more."""
+    out = sorting.isort(items)
+    if len(items) < 9:
+        return out
+    return Charged(Cost(out.cost.value // 2), out.value[::-1])
+
+
+def overcharging_charge(c, m):
+    return cost.charge(cost.as_cost(c) + Cost(1), m)
+
+
+def dropping_enqueue(e, s):
+    """Loses every enqueued 1."""
+    if e == 1:
+        return Charged(Cost(1), s)
+    return queues.batched_enqueue(e, s)
+
+
+def overcharging_dequeue(s, default=queues.DEFAULT_ELEMENT):
+    out = queues.batched_dequeue(s, default)
+    return Charged(out.cost + Cost(1), out.value)
+
+
+SORTING_RECORDS = [
+    (
+        'sorting/isort-behavior',
+        '(599, 378, 274, 786, 845, 177, 778, 190, 48, 131, 202, 197, 67, 318, 642, 48, 101, 190, 128, 685, 240, 817, 789, 198, 999, 843, 912, 684, 457, 506, 725, 258, 838, 16, 411, 248, 951, 103, 688, 189, 969...',
+        "'(10, 16, 25, 48, 48, 51, 55, 67, 85, 101, 103, 128, 131, 161, 177, 182, 189, 190, 190, 197, 198, 202, 202, 217, 228, 240, 248, 258, 274, 318, 348, 363, 378, 386, 411, 454, 457, 475, 502, 506, 524, 56...",
+        "'(999, 969, 960, 951, 928, 912, 850, 845, 843, 838, 817, 789, 786, 778, 733, 732, 725, 720, 697, 692, 688, 685, 684, 654, 650, 642, 638, 636, 615, 604, 599, 592, 566, 524, 506, 502, 475, 457, 454, 411...",
+    ),
+    (
+        'sorting/sealed-accepts',
+        '(599, 378, 274, 786, 845, 177, 778, 190, 48, 131, 202, 197, 67, 318, 642, 48, 101, 190, 128, 685, 240, 817, 789, 198, 999, 843, 912, 684, 457, 506, 725, 258, 838, 16, 411, 248, 951, 103, 688, 189, 969...',
+        "'both seals valid'",
+        '"BoundViolation(\'implementation and specification values differ\')"',
+    ),
+    (
+        'sorting/noninterference-client-head',
+        '(599, 378, 274, 786, 845, 177, 778, 190, 48, 131, 202, 197, 67, 318, 642, 48, 101, 190, 128, 685, 240, 817, 789, 198, 999, 843, 912, 684, 457, 506, 725, 258, 838, 16, 411, 248, 951, 103, 688, 189, 969...',
+        "'10'",
+        "'999'",
+    ),
+    (
+        'sorting/isort-behavior',
+        '(197, 101, 150, 209, 96, 561, 206, 830, 750, 878, 128, 325, 481, 751, 367, 825, 94, 141, 418, 983, 530, 849, 717, 889, 746, 111, 296, 229, 879, 243, 133, 639, 213, 540, 930, 306, 78, 596, 436, 997, 57...',
+        "'(57, 60, 78, 83, 94, 96, 101, 111, 128, 133, 138, 141, 150, 197, 206, 209, 213, 229, 243, 275, 296, 306, 325, 353, 367, 398, 418, 436, 481, 530, 532, 540, 549, 561, 576, 582, 596, 608, 639, 691, 717,...",
+        "'(997, 983, 956, 930, 904, 902, 889, 879, 878, 872, 849, 830, 825, 751, 750, 746, 745, 745, 717, 691, 639, 608, 596, 582, 576, 561, 549, 540, 532, 530, 481, 436, 418, 398, 367, 353, 325, 306, 296, 275...",
+    ),
+    (
+        'sorting/sealed-accepts',
+        '(197, 101, 150, 209, 96, 561, 206, 830, 750, 878, 128, 325, 481, 751, 367, 825, 94, 141, 418, 983, 530, 849, 717, 889, 746, 111, 296, 229, 879, 243, 133, 639, 213, 540, 930, 306, 78, 596, 436, 997, 57...',
+        "'both seals valid'",
+        '"BoundViolation(\'implementation and specification values differ\')"',
+    ),
+    (
+        'sorting/noninterference-client-head',
+        '(197, 101, 150, 209, 96, 561, 206, 830, 750, 878, 128, 325, 481, 751, 367, 825, 94, 141, 418, 983, 530, 849, 717, 889, 746, 111, 296, 229, 879, 243, 133, 639, 213, 540, 930, 306, 78, 596, 436, 997, 57...',
+        "'57'",
+        "'997'",
+    ),
+    (
+        'sorting/isort-sorted-input',
+        '(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15)',
+        '15',
+        '7',
+    ),
+]
+
+COST_RECORDS = [
+    (
+        'cost/charge-zero',
+        'Charged(cost=Cost(63), value=47)',
+        "'Charged(cost=Cost(63), value=47)'",
+        "'Charged(cost=Cost(64), value=47)'",
+    ),
+    (
+        'cost/charge-plus',
+        '(Cost(86), Cost(49), Charged(cost=Cost(63), value=47))',
+        "'Charged(cost=Cost(199), value=47)'",
+        "'Charged(cost=Cost(200), value=47)'",
+    ),
+    (
+        'cost/charge-zero',
+        'Charged(cost=Cost(95), value=-372)',
+        "'Charged(cost=Cost(95), value=-372)'",
+        "'Charged(cost=Cost(96), value=-372)'",
+    ),
+    (
+        'cost/charge-plus',
+        '(Cost(62), Cost(78), Charged(cost=Cost(95), value=-372))',
+        "'Charged(cost=Cost(236), value=-372)'",
+        "'Charged(cost=Cost(237), value=-372)'",
+    ),
+]
+
+
+def test_sorting_bounds_records_a_misordering_sort(monkeypatch) -> None:
+    monkeypatch.setattr(suites, "isort", misordering_isort)
+    rep = suites.REGISTRY["sorting/bounds"](0, 2, FULL)
+    assert rep.cases == 3511
+    assert _records(rep) == SORTING_RECORDS
+
+
+def test_cost_laws_record_an_overcharging_charge(monkeypatch) -> None:
+    monkeypatch.setattr(suites, "charge", overcharging_charge)
+    rep = suites.REGISTRY["cost/laws"](0, 2, FULL)
+    assert rep.cases == 20
+    assert _records(rep) == COST_RECORDS
+
+
+@pytest.mark.parametrize("mode", [FULL, BEHAVIORAL])
+def test_queue_coherence_rejects_a_dropping_enqueue(monkeypatch, mode) -> None:
+    monkeypatch.setattr(suites, "batched_enqueue", dropping_enqueue)
+    rep = suites.REGISTRY["queues/coherence"](0, 20, mode)
+    laws = {f.law for f in rep.failures}
+    assert "square/enqueue/strict" in laws
+    # Each trace step is checked from the batched state's own image.
+    assert ("(1, BatchedQueueState(inbox=(), outbox=()))", "'image (1,) at cost == 1'",
+            "'image () at cost 1'") in [(f.input, f.expected, f.actual) for f in rep.failures]
+
+
+def test_queue_coherence_rejects_an_overcharging_dequeue(monkeypatch) -> None:
+    monkeypatch.setattr(suites, "batched_dequeue", overcharging_dequeue)
+    rep = suites.REGISTRY["queues/coherence"](0, 20, FULL)
+    laws = {f.law for f in rep.failures}
+    assert {"square/dequeue/lax", "queues/amortized-reversal", "queues/amortized-total"} <= laws
+
+
+def test_behavioral_mode_erases_the_dequeue_overcharge(monkeypatch) -> None:
+    monkeypatch.setattr(suites, "batched_dequeue", overcharging_dequeue)
+    assert suites.REGISTRY["queues/coherence"](0, 20, BEHAVIORAL).passed

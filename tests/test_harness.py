@@ -11,7 +11,6 @@ from costglue.cost import Charged, Cost, charge, ret
 from costglue.harness import (
     Failure,
     MonoidOps,
-    OpTrace,
     ReportBuilder,
     SequenceImpl,
     SquareSpec,
@@ -21,6 +20,7 @@ from costglue.harness import (
     check_noninterference,
     check_square,
     check_universal_property,
+    commute,
     derive_rng,
     fold_elements,
     geometric_size,
@@ -69,14 +69,34 @@ class TestRender:
 class TestReportBuilder:
     def test_cases_and_failures(self) -> None:
         rb = ReportBuilder("s", 0, 10)
-        assert rb.case(True, "law", 1, 2, 2)
-        assert not rb.case(False, "law", 1, 2, 3)
+        assert rb.case(True, "law", lambda: (1, 2, 2))
+        assert not rb.case(False, "law", lambda: (1, 2, 3))
         rb.fail("law2", "in", "want", "got")
         rep = rb.build()
         assert rep.cases == 3
         assert len(rep.failures) == 2
         assert not rep.passed
         assert rep.failures[1] == Failure("'in'", "'want'", "'got'", "law2")
+
+    def test_passing_case_never_calls_detail(self) -> None:
+        def detail():
+            raise AssertionError("detail of a passing case was evaluated")
+
+        rb = ReportBuilder("s", 0, 10)
+        assert rb.case(True, "law", detail)
+        assert rb.build().cases == 1
+
+    def test_failing_case_calls_detail_once(self) -> None:
+        calls = []
+
+        def detail():
+            calls.append(1)
+            return (1, 2, 3)
+
+        rb = ReportBuilder("s", 0, 10)
+        assert not rb.case(False, "law", detail)
+        assert calls == [1]
+        assert rb.build().failures == (Failure("1", "2", "3", "law"),)
 
     def test_cost_rows_keep_the_maximum_per_size(self) -> None:
         rb = ReportBuilder("s", 0, 10)
@@ -88,7 +108,7 @@ class TestReportBuilder:
 
     def test_absorb_merges_everything(self) -> None:
         inner = ReportBuilder("inner", 0, 5)
-        inner.case(True, "law", 0, 0, 0)
+        inner.case(True, "law", lambda: (0, 0, 0))
         inner.cost_row(3, 5, 6)
         outer = ReportBuilder("outer", 0, 5)
         outer.cost_row(3, 2, 9)
@@ -118,24 +138,6 @@ class TestModeGates:
         assert mode_gates(EvaluationMode.ABSTRACT) == (True, True)
         assert mode_gates(EvaluationMode.BEHAVIORAL) == (True, False)
         assert mode_gates(EvaluationMode.CONCRETE) == (False, False)
-
-
-class TestOpTrace:
-    INTERFACE = {"enqueue": 1, "dequeue": 0}
-
-    def test_valid_trace(self) -> None:
-        OpTrace((("enqueue", (1,)), ("dequeue", ()))).validate(self.INTERFACE)
-
-    def test_unknown_operation(self) -> None:
-        with pytest.raises(ValueError, match="not in interface"):
-            OpTrace((("peek", ()),)).validate(self.INTERFACE)
-
-    def test_wrong_arity(self) -> None:
-        with pytest.raises(ValueError, match="expects 1 arguments"):
-            OpTrace((("enqueue", ()),)).validate(self.INTERFACE)
-
-    def test_len(self) -> None:
-        assert len(OpTrace((("dequeue", ()),))) == 1
 
 
 def _const_inputs(value):
@@ -205,6 +207,16 @@ class TestCheckSquare:
         rep = check_square(square, _const_inputs(3), 4, seed=0, mode=EvaluationMode.CONCRETE)
         assert rep.passed
         assert rep.cases == 4
+
+    def test_commute_returns_both_paths_and_records_one_case(self) -> None:
+        rb = ReportBuilder("s", 0, 1)
+        top, bottom = commute(rb, self._square(2, 1, lax=False), 3, True, True)
+        assert (top, bottom) == (Charged(Cost(2), 6), Charged(Cost(1), 6))
+        rep = rb.build()
+        assert rep.cases == 1
+        assert rep.failures == (
+            Failure("3", "'image 6 at cost == 1'", "'image 6 at cost 2'", "square/double/strict"),
+        )
 
     def test_cost_rows_use_size_of(self) -> None:
         rep = check_square(

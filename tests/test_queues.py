@@ -11,7 +11,6 @@ from costglue.queues import (
     DEFAULT_ELEMENT,
     LIST_ALPHA,
     LIST_QUEUE,
-    QUEUE_INTERFACE,
     BatchedQueueState,
     ListQueueState,
     batched_dequeue,
@@ -197,6 +196,3 @@ class TestSpecMembership:
         from costglue.suites import STACK_IMPL
 
         assert not queue_spec_member(STACK_IMPL, LIST_QUEUE, self.TRACES)
-
-    def test_interface_shape(self) -> None:
-        assert QUEUE_INTERFACE == {"enqueue": 1, "dequeue": 0}

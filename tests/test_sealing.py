@@ -173,3 +173,16 @@ class TestSealedBehEq:
         c = seal(ret("w"), ret("w"))
         assert eq(a, b)
         assert not eq(a, c)
+
+
+class TestSealedEquality:
+    def test_ignores_the_behavioral_equality(self) -> None:
+        inner = seal_return("v")
+        a = Sealed(ret(inner), ret(inner), sealed_beh_eq())
+        b = Sealed(ret(inner), ret(inner), sealed_beh_eq())
+        assert a.beh_eq is not b.beh_eq
+        assert a == b
+        assert hash(a) == hash(b)
+
+    def test_repr_still_shows_it(self) -> None:
+        assert "beh_eq=" in repr(seal_return(1))
