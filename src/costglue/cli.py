@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -147,25 +148,22 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         report_path=args.report,
         format=args.format,
     )
+    # Open the report path first, so an unwritable one fails before the run.
     try:
-        report = run_suite(config)
-    except (CoherenceError, BoundViolation, ValueError, OverflowError) as err:
-        print(f"costglue: internal invariant breach: {err}", file=sys.stderr)
-        return 1
-
-    text = emit_report(report, config.format)
-    if config.report_path:
+        out = open(config.report_path, "w", encoding="utf-8") if config.report_path else nullcontext(sys.stdout)
+    except OSError as err:
+        print(
+            f"costglue: error: cannot write report to {config.report_path!r}: {err.strerror}",
+            file=sys.stderr,
+        )
+        return 2
+    with out as fh:
         try:
-            with open(config.report_path, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as err:
-            print(
-                f"costglue: error: cannot write report to {config.report_path!r}: {err.strerror}",
-                file=sys.stderr,
-            )
-            return 2
-    else:
-        sys.stdout.write(text)
+            report = run_suite(config)
+        except (CoherenceError, BoundViolation, ValueError, OverflowError) as err:
+            print(f"costglue: internal invariant breach: {err}", file=sys.stderr)
+            return 1
+        fh.write(emit_report(report, config.format))
     return 0 if report.passed else 1
 
 

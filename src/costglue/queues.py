@@ -25,6 +25,7 @@ from typing import Any, Callable, Sequence, Tuple, TypeVar
 
 from .cost import Charged, Cost, bind, erase, ret
 from .phase import AbstractionFn, spec_member
+from .sealing import seal
 
 E = TypeVar("E")
 
@@ -142,8 +143,6 @@ def sealed_dequeue(s: BatchedQueueState, default: Any = DEFAULT_ELEMENT):
     ``rev_append``, the specification is the list dequeue on the state's
     image.  Seal validity is exactly the lax cost square for dequeue.
     """
-    from .sealing import Sealed, seal
-
     impl = bind(
         batched_dequeue(s, default),
         lambda out: ret((out[0], rev_append(out[1]))),

@@ -1,7 +1,9 @@
 """The registered verification suites behind the command line runner.
 
-Every suite is a function ``(seed, iterations, mode) -> Report`` whose
-sampling is driven entirely by an RNG derived from ``(seed, suite
+Every suite is a body ``(rb) -> None`` that records into the
+``ReportBuilder`` its ``register`` builds; the registry holds it as a
+function ``(seed, iterations, mode) -> Report``.  Sampling is driven
+entirely by the builder's RNG streams, derived from ``(seed, suite
 name)``, so a report is a pure function of its configuration.  Law
 suites (cost, sealing, round trips) check module invariants that hold in
 every phase and use the mode only as report metadata; differential
@@ -12,7 +14,9 @@ judging abstract agreement.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 import random
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -33,7 +37,6 @@ from .harness import (
     commute,
     derive_rng,
     geometric_size,
-    mode_gates,
     render,
 )
 from .phase import AbstractionFn, CoherenceError, EvaluationMode, abstract_equal, fracture, glue
@@ -95,10 +98,18 @@ Suite = Callable[[int, int, EvaluationMode], Report]
 REGISTRY: Dict[str, Suite] = {}
 
 
-def register(name: str) -> Callable[[Suite], Suite]:
-    def add(fn: Suite) -> Suite:
-        REGISTRY[name] = fn
-        return fn
+def register(name: str) -> Callable[[Callable[[ReportBuilder], None]], Suite]:
+    """Register a suite body under ``name``; the builder it records into is made per run."""
+
+    def add(body: Callable[[ReportBuilder], None]) -> Suite:
+        @functools.wraps(body)
+        def suite(seed: int, iterations: int, mode: EvaluationMode) -> Report:
+            rb = ReportBuilder(name, seed, iterations, mode)
+            body(rb)
+            return rb.build()
+
+        REGISTRY[name] = suite
+        return suite
 
     return add
 
@@ -107,18 +118,16 @@ def register(name: str) -> Callable[[Suite], Suite]:
 # cost/laws
 
 @register("cost/laws")
-def cost_laws(seed: int, iterations: int, mode: EvaluationMode) -> Report:
+def cost_laws(rb: ReportBuilder) -> None:
     """Monoid, monad, erasure, and refinement-order laws of the cost effect."""
-    name = "cost/laws"
-    rb = ReportBuilder(name, seed, iterations, mode)
-    rng = derive_rng(seed, name)
+    rng = rb.rng()
     kont = (
         lambda n: Charged(Cost(n % 7), n + 3),
         lambda n: Charged(Cost(1), n * 2),
         lambda n: ret(n - 1),
         lambda n: Charged(Cost(n % 3), -n),
     )
-    for _ in range(iterations):
+    for _ in range(rb.iterations):
         x = rng.randrange(-1000, 1000)
         c1 = Cost(rng.randrange(0, 100))
         c2 = Cost(rng.randrange(0, 100))
@@ -126,21 +135,13 @@ def cost_laws(seed: int, iterations: int, mode: EvaluationMode) -> Report:
         k = kont[rng.randrange(len(kont))]
         h = kont[rng.randrange(len(kont))]
 
-        rb.case(charge(0, m) == m, "cost/charge-zero", lambda: (m, render(m), render(charge(0, m))))
-        lhs = charge(c1, charge(c2, m))
-        rhs = charge(c1 + c2, m)
-        rb.case(lhs == rhs, "cost/charge-plus", lambda: ((c1, c2, m), render(rhs), render(lhs)))
-        rb.case(ret(x).cost == Cost(0), "cost/ret-free", lambda: (x, "Cost(0)", render(ret(x).cost)))
-        rb.case(bind(ret(x), k) == k(x), "cost/bind-left-unit", lambda: (x, render(k(x)), render(bind(ret(x), k))))
-        rb.case(bind(m, ret) == m, "cost/bind-right-unit", lambda: (m, render(m), render(bind(m, ret))))
-        assoc_l = bind(bind(m, k), h)
-        assoc_r = bind(m, lambda v: bind(k(v), h))
-        rb.case(assoc_l == assoc_r, "cost/bind-assoc", lambda: (m, render(assoc_r), render(assoc_l)))
-        rb.case(
-            erase(charge(c1, m)) == erase(m),
-            "cost/erase-charge",
-            lambda: ((c1, m), render(erase(m)), render(erase(charge(c1, m)))),
-        )
+        rb.equal("cost/charge-zero", m, m, charge(0, m))
+        rb.equal("cost/charge-plus", (c1, c2, m), charge(c1 + c2, m), charge(c1, charge(c2, m)))
+        rb.equal("cost/ret-free", x, Cost(0), ret(x).cost)
+        rb.equal("cost/bind-left-unit", x, k(x), bind(ret(x), k))
+        rb.equal("cost/bind-right-unit", m, m, bind(m, ret))
+        rb.equal("cost/bind-assoc", m, bind(m, lambda v: bind(k(v), h)), bind(bind(m, k), h))
+        rb.equal("cost/erase-charge", (c1, m), erase(m), erase(charge(c1, m)))
         rb.case(leq(m, m), "cost/leq-refl", lambda: (m, True, leq(m, m)))
         a, b, c = m, charge(c1, m), charge(c1 + c2, m)
         rb.case(
@@ -154,7 +155,6 @@ def cost_laws(seed: int, iterations: int, mode: EvaluationMode) -> Report:
             "cost/leq-erase-collapse",
             lambda: ((a, b), erased_equal, leq(ret(erase(b)), ret(erase(a)))),
         )
-    return rb.build()
 
 
 # ---------------------------------------------------------------------------
@@ -199,17 +199,14 @@ class _TreePool:
 
 
 @register("phase/roundtrip")
-def phase_roundtrip(seed: int, iterations: int, mode: EvaluationMode) -> Report:
+def phase_roundtrip(rb: ReportBuilder) -> None:
     """Fracture then glue is the identity, and glue rejects incoherent pairs."""
-    name = "phase/roundtrip"
-    rb = ReportBuilder(name, seed, iterations, mode)
-    rng = derive_rng(seed, name)
+    rng = rb.rng()
     trees = _TreePool(rng, cap=256)
-    for i in range(iterations):
+    for i in range(rb.iterations):
         s = _random_batched_state(rng)
         g = glue(s, rev_append(s), BATCHED_ALPHA)
-        back = glue(*fracture(g))
-        rb.case(back == g, "phase/glue-fracture-queue", lambda: (s, render(g), render(back)))
+        rb.equal("phase/glue-fracture-queue", s, g, glue(*fracture(g)))
         parts = fracture(g)
         rb.case(
             parts == (s, rev_append(s), BATCHED_ALPHA),
@@ -233,25 +230,18 @@ def phase_roundtrip(seed: int, iterations: int, mode: EvaluationMode) -> Report:
                 glue(s, claimed, BATCHED_ALPHA)
                 rb.fail("phase/glue-rejects-incoherent", s, "CoherenceError", "no error")
             except CoherenceError as err:
-                rb.case(
-                    err.claimed == claimed,
-                    "phase/glue-rejects-incoherent",
-                    lambda: (s, render(claimed), render(err.claimed)),
-                )
-    return rb.build()
+                rb.equal("phase/glue-rejects-incoherent", s, claimed, err.claimed)
 
 
 # ---------------------------------------------------------------------------
 # sealing/laws
 
 @register("sealing/laws")
-def sealing_laws(seed: int, iterations: int, mode: EvaluationMode) -> Report:
+def sealing_laws(rb: ReportBuilder) -> None:
     """Projection, transitivity, charge-commutation, and monad laws for seals."""
-    name = "sealing/laws"
-    rb = ReportBuilder(name, seed, iterations, mode)
-    rng = derive_rng(seed, name)
+    rng = rb.rng()
     ledger: List[Sealed] = []
-    for _ in range(iterations):
+    for _ in range(rb.iterations):
         v = rng.randrange(-50, 50)
         ci = rng.randrange(0, 50)
         gap = rng.randrange(0, 50)
@@ -261,16 +251,8 @@ def sealing_laws(seed: int, iterations: int, mode: EvaluationMode) -> Report:
         s = seal(impl, spec)
         ledger.append(s)
 
-        rb.case(
-            unseal_abstract(s) == spec,
-            "seal/unseal-abstract",
-            lambda: (s, render(spec), render(unseal_abstract(s))),
-        )
-        rb.case(
-            unseal_concrete(s) == impl,
-            "seal/unseal-concrete",
-            lambda: (s, render(impl), render(unseal_concrete(s))),
-        )
+        rb.equal("seal/unseal-abstract", s, spec, unseal_abstract(s))
+        rb.equal("seal/unseal-concrete", s, impl, unseal_concrete(s))
         rb.case(
             seal(impl, impl).impl == seal(impl, impl).spec,
             "seal/reflexive",
@@ -280,38 +262,22 @@ def sealing_laws(seed: int, iterations: int, mode: EvaluationMode) -> Report:
         wider = charge(extra, spec)
         r = reseal(s, wider)
         ledger.append(r)
-        rb.case(
-            r == seal(impl, wider),
-            "seal/reseal-transitive",
-            lambda: ((s, wider), render(seal(impl, wider)), render(r)),
-        )
-        rb.case(reseal(s, spec) == s, "seal/reseal-identity", lambda: (s, render(s), render(reseal(s, spec))))
+        rb.equal("seal/reseal-transitive", (s, wider), seal(impl, wider), r)
+        rb.equal("seal/reseal-identity", s, s, reseal(s, spec))
 
         sc = seal_charge(extra, s)
         ledger.append(sc)
-        rb.case(
-            sc == seal(charge(extra, impl), charge(extra, spec)),
-            "seal/charge-commutes",
-            lambda: (
-                (extra, s),
-                render(seal(charge(extra, impl), charge(extra, spec))),
-                render(sc),
-            ),
-        )
-        rb.case(seal_charge(0, s) == s, "seal/charge-zero", lambda: (s, render(s), render(seal_charge(0, s))))
+        rb.equal("seal/charge-commutes", (extra, s), seal(charge(extra, impl), charge(extra, spec)), sc)
+        rb.equal("seal/charge-zero", s, s, seal_charge(0, s))
 
         # monad unit laws
-        rb.case(
-            seal_join(seal_return(s)) == s,
-            "seal/join-return",
-            lambda: (s, render(s), render(seal_join(seal_return(s)))),
-        )
+        rb.equal("seal/join-return", s, s, seal_join(seal_return(s)))
         mapped = Sealed(
             Charged(impl.cost, seal_return(impl.value)),
             Charged(spec.cost, seal_return(spec.value)),
             sealed_beh_eq(),
         )
-        rb.case(seal_join(mapped) == s, "seal/join-map-return", lambda: (s, render(s), render(seal_join(mapped))))
+        rb.equal("seal/join-map-return", s, s, seal_join(mapped))
 
         # monad associativity on a random triple nesting
         inner_i = seal(Charged(Cost(rng.randrange(10)), v), Charged(Cost(9 + rng.randrange(10)), v))
@@ -329,12 +295,7 @@ def sealing_laws(seed: int, iterations: int, mode: EvaluationMode) -> Report:
             Charged(sss.spec.cost, seal_join(mid_s)),
             sealed_beh_eq(),
         )
-        other = seal_join(mapped_join)
-        rb.case(
-            flat_twice == other,
-            "seal/join-assoc",
-            lambda: (sss, render(other), render(flat_twice)),
-        )
+        rb.equal("seal/join-assoc", sss, seal_join(mapped_join), flat_twice)
 
         # violations must be refused, with the reason split out
         try:
@@ -367,7 +328,6 @@ def sealing_laws(seed: int, iterations: int, mode: EvaluationMode) -> Report:
     # global validity sweep over everything constructed above
     bad = [s for s in ledger if not (s.impl.cost <= s.spec.cost and s.beh_eq(s.impl.value, s.spec.value))]
     rb.case(not bad, "seal/validity-sweep", lambda: (f"{len(ledger)} seals", "all valid", f"{len(bad)} invalid"))
-    return rb.build()
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +367,6 @@ def _run_coherence_trace(
     rb: ReportBuilder,
     ops: Sequence[Tuple[str, Tuple[Any, ...]]],
     squares: Tuple[SquareSpec, SquareSpec],
-    mode: EvaluationMode,
     quotient_rng: Optional[random.Random] = None,
 ) -> None:
     """Step a trace through the batched queue, commuting each step's square.
@@ -418,7 +377,6 @@ def _run_coherence_trace(
     indistinguishable to the operations.
     """
     enqueue_square, dequeue_square = squares
-    check_beh, check_cost = mode_gates(mode)
     bat = batched_empty()
     enqueues = 0
     reversal_work = 0
@@ -426,20 +384,20 @@ def _run_coherence_trace(
     spec_dequeue_total = 0
     for op, args in ops:
         if op == "enqueue":
-            top, _ = commute(rb, enqueue_square, (args[0], bat), check_beh, check_cost)
+            top, _ = commute(rb, enqueue_square, (args[0], bat))
             enqueues += 1
             batched_total += top.cost.value
             bat = top.value
         else:
             size = _queue_length(bat)
-            top, bottom = commute(rb, dequeue_square, bat, check_beh, check_cost)
+            top, bottom = commute(rb, dequeue_square, bat)
             rb.cost_row(size, top.cost.value, bottom.cost.value)
             reversal_work += top.cost.value
             batched_total += top.cost.value
             spec_dequeue_total += bottom.cost.value
             bat = top.value[1]
 
-        if quotient_rng is not None and check_beh:
+        if quotient_rng is not None and rb.check_beh:
             image = rev_append(bat)
             cut = quotient_rng.randrange(len(image) + 1)
             alt = BatchedQueueState(tuple(reversed(image[cut:])), image[:cut])
@@ -462,7 +420,7 @@ def _run_coherence_trace(
                 ),
             )
 
-    if check_cost:
+    if rb.check_cost:
         rb.case(
             reversal_work <= enqueues,
             "queues/amortized-reversal",
@@ -498,7 +456,7 @@ def random_trace(rng: random.Random, max_len: int = 200) -> Tuple[Tuple[str, Tup
 
 
 @register("queues/coherence")
-def queues_coherence(seed: int, iterations: int, mode: EvaluationMode) -> Report:
+def queues_coherence(rb: ReportBuilder) -> None:
     """Squares for every queue operation, exhaustively on short traces.
 
     Runs the strict enqueue square and the lax dequeue square on random
@@ -507,43 +465,32 @@ def queues_coherence(seed: int, iterations: int, mode: EvaluationMode) -> Report
     traces of length at most 200, checking squares stepwise along with
     the amortized cost accounting and quotient soundness.
     """
-    name = "queues/coherence"
-    rb = ReportBuilder(name, seed, iterations, mode)
-    rng = derive_rng(seed, name)
-    check_beh, check_cost = mode_gates(mode)
-
     rb.case(
-        (not check_beh) or rev_append(batched_empty()) == list_empty().items,
+        (not rb.check_beh) or rev_append(batched_empty()) == list_empty().items,
         "queues/empty-square",
         lambda: ("()", "()", render(rev_append(batched_empty()))),
     )
 
     squares = (_enqueue_square(), _dequeue_square())
-    rb.absorb(
-        check_square(
-            squares[0],
-            lambda r: (r.randrange(100), _random_batched_state(r)),
-            iterations,
-            seed=seed,
-            suite=name + "/enqueue",
-            mode=mode,
-            size_of=lambda p: _queue_length(p[1]),
-        )
+    check_square(
+        rb,
+        "/enqueue",
+        squares[0],
+        lambda r: (r.randrange(100), _random_batched_state(r)),
+        rb.iterations,
+        size_of=lambda p: _queue_length(p[1]),
     )
-    rb.absorb(
-        check_square(
-            squares[1],
-            _random_batched_state,
-            iterations,
-            seed=seed,
-            suite=name + "/dequeue",
-            mode=mode,
-            size_of=_queue_length,
-        )
+    check_square(
+        rb,
+        "/dequeue",
+        squares[1],
+        _random_batched_state,
+        rb.iterations,
+        size_of=_queue_length,
     )
 
-    seal_rng = derive_rng(seed, name + "/sealed")
-    for _ in range(iterations):
+    seal_rng = rb.rng("/sealed")
+    for _ in range(rb.iterations):
         s = _random_batched_state(seal_rng)
         try:
             sealed = sealed_dequeue(s)
@@ -557,13 +504,12 @@ def queues_coherence(seed: int, iterations: int, mode: EvaluationMode) -> Report
             rb.fail("queues/sealed-dequeue", s, "valid seal", render(err))
 
     for trace in exhaustive_traces(6, (0, 1)):
-        _run_coherence_trace(rb, trace, squares, mode)
+        _run_coherence_trace(rb, trace, squares)
 
-    trace_rng = derive_rng(seed, name + "/traces")
-    for _ in range(iterations):
+    trace_rng = rb.rng("/traces")
+    for _ in range(rb.iterations):
         trace = random_trace(trace_rng)
-        _run_coherence_trace(rb, trace, squares, mode, quotient_rng=trace_rng)
-    return rb.build()
+        _run_coherence_trace(rb, trace, squares, quotient_rng=trace_rng)
 
 
 # ---------------------------------------------------------------------------
@@ -591,7 +537,7 @@ def membership_traces(seed: int) -> List[Tuple[Tuple[str, Tuple[Any, ...]], ...]
 
 
 @register("queues/noninterference")
-def queues_noninterference(seed: int, iterations: int, mode: EvaluationMode) -> Report:
+def queues_noninterference(rb: ReportBuilder) -> None:
     """Clients cannot tell lawful queue implementations apart.
 
     Membership of both implementations in the queue specification is
@@ -600,12 +546,7 @@ def queues_noninterference(seed: int, iterations: int, mode: EvaluationMode) -> 
     against both implementations and compared, with the reversal also
     checked against the plain reversed-list oracle.
     """
-    name = "queues/noninterference"
-    rb = ReportBuilder(name, seed, iterations, mode)
-    rng = derive_rng(seed, name)
-    check_beh, _ = mode_gates(mode)
-
-    traces = membership_traces(seed)
+    traces = membership_traces(rb.seed)
     rb.case(
         queue_spec_member(BATCHED_QUEUE, LIST_QUEUE, traces),
         "queues/spec-member/batched",
@@ -627,50 +568,43 @@ def queues_noninterference(seed: int, iterations: int, mode: EvaluationMode) -> 
     )
 
     impls = [("list", LIST_QUEUE), ("batched", BATCHED_QUEUE)]
-    rb.absorb(
-        check_noninterference(
-            demo,
-            impls,
-            lambda a, b: a == b,
-            lambda r: r.randrange(100),
-            iterations,
-            seed=seed,
-            suite=name + "/demo",
-            mode=mode,
-        )
+    check_noninterference(
+        rb,
+        "/demo",
+        demo,
+        impls,
+        operator.eq,
+        lambda r: r.randrange(100),
+        rb.iterations,
     )
-    rb.absorb(
-        check_noninterference(
-            qreverse,
-            impls,
-            lambda a, b: a == b,
-            lambda r: tuple(r.randrange(100) for _ in range(r.randrange(201))),
-            iterations,
-            seed=seed,
-            suite=name + "/qreverse",
-            mode=mode,
-        )
+    check_noninterference(
+        rb,
+        "/qreverse",
+        qreverse,
+        impls,
+        operator.eq,
+        lambda r: tuple(r.randrange(100) for _ in range(r.randrange(201))),
+        rb.iterations,
     )
 
-    oracle_rng = derive_rng(seed, name + "/oracle")
-    for _ in range(iterations):
+    oracle_rng = rb.rng("/oracle")
+    for _ in range(rb.iterations):
         items = tuple(oracle_rng.randrange(100) for _ in range(oracle_rng.randrange(201)))
         expected = tuple(reversed(items))
         for impl_name, impl in impls:
             got = qreverse(impl, items)
             rb.case(
-                (not check_beh) or got == expected,
+                (not rb.check_beh) or got == expected,
                 f"queues/qreverse-oracle/{impl_name}",
                 lambda: (items, render(expected), render(got)),
             )
         e = oracle_rng.randrange(100)
         for impl_name, impl in impls:
             rb.case(
-                (not check_beh) or demo(impl, e) == e,
+                (not rb.check_beh) or demo(impl, e) == e,
                 f"queues/demo-oracle/{impl_name}",
                 lambda: (e, e, demo(impl, e)),
             )
-    return rb.build()
 
 
 # ---------------------------------------------------------------------------
@@ -700,22 +634,19 @@ TREE_SEQUENCE = SequenceImpl(
 
 
 @register("rbtree/invariants")
-def rbtree_invariants(seed: int, iterations: int, mode: EvaluationMode) -> Report:
+def rbtree_invariants(rb: ReportBuilder) -> None:
     """Structural invariants survive appends; the monoid laws hold abstractly.
 
     Runs ``iterations`` random appends over an evolving population,
     auditing colors, heights, caches, element order, and the cost bound
     after each; one tenth as many sampled triples drive the abstract
     monoid laws, and elements-equal trees of different shapes are shown
-    to be indistinguishable to the registered abstract clients.
+    to be indistinguishable to the registered abstract clients.  The
+    ``validate`` audit is concrete, so abstract and behavioral runs skip it.
     """
-    name = "rbtree/invariants"
-    rb = ReportBuilder(name, seed, iterations, mode)
-    rng = derive_rng(seed, name)
-    check_beh, check_cost = mode_gates(mode)
-    check_concrete = mode in (EvaluationMode.FULL, EvaluationMode.CONCRETE)
-    pool = _TreePool(rng)
-    for _ in range(iterations):
+    check_concrete = rb.mode in (EvaluationMode.FULL, EvaluationMode.CONCRETE)
+    pool = _TreePool(rb.rng())
+    for _ in range(rb.iterations):
         a, b, out = pool.grow()
         t = out.value
         if check_concrete:
@@ -724,7 +655,7 @@ def rbtree_invariants(seed: int, iterations: int, mode: EvaluationMode) -> Repor
                 rb.cases += 1
             except ValueError as err:
                 rb.fail("rbtree/invariant-audit", (render(elements(a)), render(elements(b))), "valid tree", str(err))
-        if check_beh:
+        if rb.check_beh:
             expected = elements(a) + elements(b)
             got = elements(t)
             rb.case(
@@ -738,7 +669,7 @@ def rbtree_invariants(seed: int, iterations: int, mode: EvaluationMode) -> Repor
                 lambda: (render(expected), len(expected), length_fast(t)),
             )
         bound = append_bound(a, b)
-        if check_cost:
+        if rb.check_cost:
             rb.case(
                 out.cost.value <= bound,
                 "rbtree/append-cost-bound",
@@ -746,117 +677,91 @@ def rbtree_invariants(seed: int, iterations: int, mode: EvaluationMode) -> Repor
             )
         rb.cost_row(abs(a.black_height - b.black_height), out.cost.value, bound)
 
-    rb.absorb(
-        check_abstract_monoid(
-            EMPTY,
-            append,
-            ELEMENTS_ALPHA,
-            lambda r: pool.pool[r.randrange(len(pool.pool))],
-            max(1, iterations // 10),
-            seed=seed,
-            suite=name + "/monoid",
-            mode=mode,
-        )
+    samples = max(1, rb.iterations // 10)
+    check_abstract_monoid(
+        rb,
+        "/monoid",
+        EMPTY,
+        append,
+        ELEMENTS_ALPHA,
+        lambda r: pool.pool[r.randrange(len(pool.pool))],
+        samples,
     )
 
-    if check_beh:
-        probe_rng = derive_rng(seed, name + "/clients")
+    if rb.check_beh:
+        probe_rng = rb.rng("/clients")
         clients = (
             ("elements", lambda t: elements(t)),
             ("length", lambda t: length_fast(t)),
             ("mapreduce-sum", lambda t: mapreduce(t, SUM_TARGET.ops).value),
             ("reduce-max", lambda t: reduce(lambda x, y: Charged(Cost(1), max(x, y)), 0, t).value),
         )
-        for _ in range(max(1, iterations // 10)):
+        for _ in range(samples):
             items = tuple(probe_rng.randrange(100) for _ in range(1 + geometric_size(probe_rng, cap=64)))
             cut = probe_rng.randrange(len(items) + 1)
             left_first = append(from_iterable(items[:cut]), from_iterable(items[cut:])).value
             straight = from_iterable(items)
             for client_name, client in clients:
-                rb.case(
-                    client(left_first) == client(straight),
-                    f"rbtree/abstract-client/{client_name}",
-                    lambda: (items, render(client(straight)), render(client(left_first))),
-                )
-    return rb.build()
+                rb.equal(f"rbtree/abstract-client/{client_name}", items, client(straight), client(left_first))
 
 
 @register("rbtree/universal")
-def rbtree_universal(seed: int, iterations: int, mode: EvaluationMode) -> Report:
+def rbtree_universal(rb: ReportBuilder) -> None:
     """The structural fold is the unique homomorphism out of the sequence.
 
     ``mapreduce`` into sum, list, and max targets must agree with the
     canonical list fold over the elements; independent homomorphisms
     (cached length, direct elements) must agree with it on samples.
     """
-    name = "rbtree/universal"
-    rb = ReportBuilder(name, seed, iterations, mode)
-    rng = derive_rng(seed, name)
-    pool = _TreePool(rng, cap=512)
-    for _ in range(min(iterations, 200)):
+    pool = _TreePool(rb.rng(), cap=512)
+    for _ in range(min(rb.iterations, 200)):
         pool.grow()
 
     def tree_gen(r: random.Random) -> rbtree.RBTree:
         return pool.pool[r.randrange(len(pool.pool))]
 
-    rb.absorb(
-        check_universal_property(
-            TREE_SEQUENCE,
-            SUM_TARGET,
-            tree_gen,
-            iterations,
-            seed=seed,
-            suite=name + "/nat-sum",
-            mode=mode,
-            extra_homs=(("cached-length", lambda t: Charged(Cost(1), length_fast(t))),),
-        )
+    check_universal_property(
+        rb,
+        "/nat-sum",
+        TREE_SEQUENCE,
+        SUM_TARGET,
+        tree_gen,
+        rb.iterations,
+        extra_homs=(("cached-length", lambda t: Charged(Cost(1), length_fast(t))),),
     )
-    rb.absorb(
-        check_universal_property(
-            TREE_SEQUENCE,
-            LIST_TARGET,
-            tree_gen,
-            iterations,
-            seed=seed,
-            suite=name + "/list",
-            mode=mode,
-            extra_homs=(("elements", lambda t: ret(elements(t))),),
-        )
+    check_universal_property(
+        rb,
+        "/list",
+        TREE_SEQUENCE,
+        LIST_TARGET,
+        tree_gen,
+        rb.iterations,
+        extra_homs=(("elements", lambda t: ret(elements(t))),),
     )
-    rb.absorb(
-        check_universal_property(
-            TREE_SEQUENCE,
-            MAX_TARGET,
-            tree_gen,
-            iterations,
-            seed=seed,
-            suite=name + "/nat-max",
-            mode=mode,
-        )
+    check_universal_property(
+        rb,
+        "/nat-max",
+        TREE_SEQUENCE,
+        MAX_TARGET,
+        tree_gen,
+        rb.iterations,
     )
-    rb.absorb(
-        check_abstract_hom(
-            lambda t: mapreduce(t, SUM_TARGET.ops),
-            TREE_SEQUENCE.ops,
-            SUM_TARGET.ops,
-            (ELEMENTS_ALPHA, AbstractionFn(apply=lambda n: n)),
-            lambda r: (tree_gen(r), tree_gen(r), r.randrange(100)),
-            iterations,
-            seed=seed,
-            suite=name + "/length-hom",
-            mode=mode,
-        )
+    check_abstract_hom(
+        rb,
+        "/length-hom",
+        lambda t: mapreduce(t, SUM_TARGET.ops),
+        TREE_SEQUENCE.ops,
+        SUM_TARGET.ops,
+        (ELEMENTS_ALPHA, AbstractionFn(apply=lambda n: n)),
+        lambda r: (tree_gen(r), tree_gen(r), r.randrange(100)),
+        rb.iterations,
     )
-    return rb.build()
 
 
 @register("rbtree/reduce")
-def rbtree_reduce(seed: int, iterations: int, mode: EvaluationMode) -> Report:
+def rbtree_reduce(rb: ReportBuilder) -> None:
     """Element folds stay linear: cost of reduce is bounded by twice the size."""
-    name = "rbtree/reduce"
-    rb = ReportBuilder(name, seed, iterations, mode)
-    rng = derive_rng(seed, name)
-    check_beh, check_cost = mode_gates(mode)
+    rng = rb.rng()
     pool = _TreePool(rng, cap=1024)
 
     def plus(x: int, y: int) -> Charged[int]:
@@ -869,16 +774,16 @@ def rbtree_reduce(seed: int, iterations: int, mode: EvaluationMode) -> Report:
         lambda: ((1, 2), "unit cost, correct value", render(probe)),
     )
 
-    for _ in range(iterations):
+    for _ in range(rb.iterations):
         pool.grow()
         t = pool.sample()
         if t.size == 0:
             t = singleton(rng.randrange(100))
         out = reduce(plus, 0, t)
-        if check_beh:
+        if rb.check_beh:
             expected = sum(elements(t))
             rb.case(out.value == expected, "rbtree/reduce-value", lambda: (render(elements(t)), expected, out.value))
-        if check_cost:
+        if rb.check_cost:
             rb.case(
                 out.cost.value <= 2 * t.size,
                 "rbtree/reduce-cost-linear",
@@ -897,14 +802,13 @@ def rbtree_reduce(seed: int, iterations: int, mode: EvaluationMode) -> Report:
         "rbtree/reduce-empty",
         lambda: ("empty tree", "unit at small constant cost", render(unit_case)),
     )
-    return rb.build()
 
 
 # ---------------------------------------------------------------------------
 # sorting/bounds
 
 @register("sorting/bounds")
-def sorting_bounds(seed: int, iterations: int, mode: EvaluationMode) -> Report:
+def sorting_bounds(rb: ReportBuilder) -> None:
     """Both sorts match the stable specification within their budgets.
 
     Exhausts every permutation of sizes up to 8 (6 on quick runs with
@@ -913,10 +817,7 @@ def sorting_bounds(seed: int, iterations: int, mode: EvaluationMode) -> Report:
     the budgeted number of comparisons, and each random input's runs must
     seal under their budgets.  Every sort runs once per input.
     """
-    name = "sorting/bounds"
-    rb = ReportBuilder(name, seed, iterations, mode)
-    rng = derive_rng(seed, name)
-    check_beh, check_cost = mode_gates(mode)
+    rng = rb.rng()
     algorithms = (
         ("isort", isort, isort_bound),
         ("msort", msort, msort_bound),
@@ -929,13 +830,9 @@ def sorting_bounds(seed: int, iterations: int, mode: EvaluationMode) -> Report:
         for alg_name, alg, bound_fn in algorithms:
             out = alg(items)
             budget = bound_fn(n)
-            if check_beh:
-                rb.case(
-                    out.value == expected,
-                    f"sorting/{alg_name}-behavior",
-                    lambda: (items, render(expected), render(out.value)),
-                )
-            if check_cost:
+            if rb.check_beh:
+                rb.equal(f"sorting/{alg_name}-behavior", items, expected, out.value)
+            if rb.check_cost:
                 rb.case(
                     out.cost.value <= budget,
                     f"sorting/{alg_name}-bound",
@@ -945,12 +842,12 @@ def sorting_bounds(seed: int, iterations: int, mode: EvaluationMode) -> Report:
             runs.append((out, budget))
         return runs
 
-    exhaustive_n = 8 if iterations >= 5000 else 6
+    exhaustive_n = 8 if rb.iterations >= 5000 else 6
     for n in range(exhaustive_n + 1):
         for perm in itertools.permutations(range(n)):
             judge(perm, sort_spec(perm))
 
-    for _ in range(iterations):
+    for _ in range(rb.iterations):
         if rng.random() < 0.1:
             n = rng.randrange(256, 513)
         else:
@@ -964,13 +861,9 @@ def sorting_bounds(seed: int, iterations: int, mode: EvaluationMode) -> Report:
             rb.cases += 1
         except BoundViolation as err:
             rb.fail("sorting/sealed-accepts", items, "both seals valid", render(err))
-        if check_beh:
+        if rb.check_beh:
             head_i, head_m = (out.value[0] if items else None for out, _ in runs)
-            rb.case(
-                head_i == head_m,
-                "sorting/noninterference-client-head",
-                lambda: (items, render(head_m), render(head_i)),
-            )
+            rb.equal("sorting/noninterference-client-head", items, head_m, head_i)
 
     frozen = msort((2, 1))
     rb.case(
@@ -992,4 +885,3 @@ def sorting_bounds(seed: int, iterations: int, mode: EvaluationMode) -> Report:
         "sorting/sealed-tree",
         lambda: ((3, 1, 2), (1, 2, 3), render(elements(sealed_tree.impl.value))),
     )
-    return rb.build()

@@ -120,6 +120,17 @@ class TestUsageErrors:
         assert out == ""
         assert err == f"costglue: error: cannot write report to {path!r}: No such file or directory\n"
 
+    def test_unwritable_report_path_fails_before_the_run(self, tmp_path, capsys, monkeypatch) -> None:
+        def must_not_run(seed, iters, mode):
+            raise AssertionError("the suite ran before the report path was checked")
+
+        monkeypatch.setitem(REGISTRY, "never-run", must_not_run)
+        path = str(tmp_path / "missing" / "x.json")
+        code, out, err = run_cli(capsys, "run", "--suite", "never-run", "--report", path)
+        assert code == 2
+        assert out == ""
+        assert err == f"costglue: error: cannot write report to {path!r}: No such file or directory\n"
+
     def test_bad_format_exits_2(self, capsys) -> None:
         with pytest.raises(SystemExit) as info:
             main(["run", "--suite", "cost/laws", "--format", "xml"])

@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+from costglue import harness
 from costglue.cost import Charged, Cost, charge, ret
 from costglue.harness import (
     Failure,
@@ -24,17 +25,24 @@ from costglue.harness import (
     derive_rng,
     fold_elements,
     geometric_size,
-    mode_gates,
     render,
 )
 from costglue.phase import AbstractionFn, EvaluationMode
 from costglue.queues import BATCHED_QUEUE, LIST_QUEUE, qreverse
 
 IDENTITY = AbstractionFn(apply=lambda x: x)
+FULL = EvaluationMode.FULL
 TUPLE_OPS = MonoidOps(
     empty=(), append=lambda a, b: Charged(Cost(1), a + b), singleton=lambda e: (e,)
 )
 SUM_OPS = MonoidOps(empty=0, append=lambda a, b: Charged(Cost(1), a + b), singleton=lambda e: e)
+
+
+def sweep(check, *args, seed: int = 0, mode: EvaluationMode = FULL, **kwargs):
+    """Run one checker into a fresh builder and return the report it builds."""
+    rb = ReportBuilder("s", seed, 0, mode)
+    check(rb, "", *args, **kwargs)
+    return rb.build()
 
 
 class TestRngDiscipline:
@@ -106,16 +114,39 @@ class TestReportBuilder:
         rep = rb.build()
         assert rep.cost_table == ((2, 1, 1), (4, 7, 9))
 
-    def test_absorb_merges_everything(self) -> None:
-        inner = ReportBuilder("inner", 0, 5)
-        inner.case(True, "law", lambda: (0, 0, 0))
-        inner.cost_row(3, 5, 6)
-        outer = ReportBuilder("outer", 0, 5)
-        outer.cost_row(3, 2, 9)
-        outer.absorb(inner.build())
-        rep = outer.build()
-        assert rep.cases == 1
-        assert rep.cost_table == ((3, 5, 9),)
+    def test_passing_equal_counts_and_renders_nothing(self, monkeypatch) -> None:
+        def no_render(value):
+            raise AssertionError("a passing equality law was rendered")
+
+        monkeypatch.setattr(harness, "render", no_render)
+        rb = ReportBuilder("s", 0, 10)
+        assert rb.equal("law", "in", (1, 2), (1, 2))
+        rep = rb.build()
+        assert (rep.cases, rep.failures) == (1, ())
+
+    def test_failing_equal_matches_the_case_record(self) -> None:
+        via_equal = ReportBuilder("s", 0, 10)
+        assert not via_equal.equal("law", (1, "x"), (1, 2), [3, 4])
+        via_case = ReportBuilder("s", 0, 10)
+        via_case.case(False, "law", lambda: ((1, "x"), render((1, 2)), render([3, 4])))
+        assert via_equal.build() == via_case.build()
+        assert via_equal.build().failures == (Failure("(1, 'x')", "'(1, 2)'", "'[3, 4]'", "law"),)
+
+    def test_equal_honours_eq(self) -> None:
+        rb = ReportBuilder("s", 0, 10)
+        same_parity = lambda actual, expected: actual % 2 == expected % 2
+        assert rb.equal("law", 0, 1, 3, same_parity)
+        assert not rb.equal("law", 0, 2, 2, lambda actual, expected: False)
+        assert not rb.equal("law", 0, 1, 2, same_parity)
+        assert rb.equal("law", 0, 1, 5, lambda actual, expected: actual > expected)
+        rep = rb.build()
+        assert rep.cases == 4
+        assert [f.actual for f in rep.failures] == ["'2'", "'2'"]
+
+    def test_rng_streams_extend_the_suite_name(self) -> None:
+        rb = ReportBuilder("suite", 7, 10)
+        assert rb.rng("/x").random() == derive_rng(7, "suite/x").random()
+        assert rb.rng().random() == derive_rng(7, "suite").random()
 
     def test_to_dict_key_order_is_fixed(self) -> None:
         rep = ReportBuilder("s", 1, 2).build()
@@ -134,10 +165,14 @@ class TestReportBuilder:
 
 class TestModeGates:
     def test_gate_table(self) -> None:
-        assert mode_gates(EvaluationMode.FULL) == (True, True)
-        assert mode_gates(EvaluationMode.ABSTRACT) == (True, True)
-        assert mode_gates(EvaluationMode.BEHAVIORAL) == (True, False)
-        assert mode_gates(EvaluationMode.CONCRETE) == (False, False)
+        def gates(mode):
+            rb = ReportBuilder("s", 0, 1, mode)
+            return rb.check_beh, rb.check_cost
+
+        assert gates(EvaluationMode.FULL) == (True, True)
+        assert gates(EvaluationMode.ABSTRACT) == (True, True)
+        assert gates(EvaluationMode.BEHAVIORAL) == (True, False)
+        assert gates(EvaluationMode.CONCRETE) == (False, False)
 
 
 def _const_inputs(value):
@@ -156,21 +191,21 @@ class TestCheckSquare:
         )
 
     def test_commuting_square_passes(self) -> None:
-        rep = check_square(self._square(1, 1, lax=False), _const_inputs(3), 5, seed=0)
+        rep = sweep(check_square, self._square(1, 1, lax=False), _const_inputs(3), 5)
         assert rep.passed
         assert rep.cases == 5
 
     def test_strict_square_sees_cost_mismatch(self) -> None:
-        rep = check_square(self._square(0, 1, lax=False), _const_inputs(3), 4, seed=0)
+        rep = sweep(check_square, self._square(0, 1, lax=False), _const_inputs(3), 4)
         assert not rep.passed
         assert all("strict" in f.law for f in rep.failures)
 
     def test_lax_square_allows_cheaper_top(self) -> None:
-        rep = check_square(self._square(0, 1, lax=True), _const_inputs(3), 4, seed=0)
+        rep = sweep(check_square, self._square(0, 1, lax=True), _const_inputs(3), 4)
         assert rep.passed
 
     def test_lax_square_rejects_costlier_top(self) -> None:
-        rep = check_square(self._square(2, 1, lax=True), _const_inputs(3), 4, seed=0)
+        rep = sweep(check_square, self._square(2, 1, lax=True), _const_inputs(3), 4)
         assert not rep.passed
 
     def test_behavior_mismatch_is_caught(self) -> None:
@@ -181,17 +216,17 @@ class TestCheckSquare:
             alpha_in=IDENTITY,
             alpha_out=IDENTITY,
         )
-        rep = check_square(square, _const_inputs(10), 3, seed=0)
+        rep = sweep(check_square, square, _const_inputs(10), 3)
         assert not rep.passed
         assert "image 9" in rep.failures[0].expected
         assert "image 11" in rep.failures[0].actual
 
     def test_behavioral_mode_ignores_cost(self) -> None:
-        rep = check_square(
+        rep = sweep(
+            check_square,
             self._square(0, 1, lax=False),
             _const_inputs(3),
             4,
-            seed=0,
             mode=EvaluationMode.BEHAVIORAL,
         )
         assert rep.passed
@@ -204,13 +239,13 @@ class TestCheckSquare:
             alpha_in=IDENTITY,
             alpha_out=IDENTITY,
         )
-        rep = check_square(square, _const_inputs(3), 4, seed=0, mode=EvaluationMode.CONCRETE)
+        rep = sweep(check_square, square, _const_inputs(3), 4, mode=EvaluationMode.CONCRETE)
         assert rep.passed
         assert rep.cases == 4
 
     def test_commute_returns_both_paths_and_records_one_case(self) -> None:
         rb = ReportBuilder("s", 0, 1)
-        top, bottom = commute(rb, self._square(2, 1, lax=False), 3, True, True)
+        top, bottom = commute(rb, self._square(2, 1, lax=False), 3)
         assert (top, bottom) == (Charged(Cost(2), 6), Charged(Cost(1), 6))
         rep = rb.build()
         assert rep.cases == 1
@@ -219,9 +254,7 @@ class TestCheckSquare:
         )
 
     def test_cost_rows_use_size_of(self) -> None:
-        rep = check_square(
-            self._square(1, 1, lax=False), _const_inputs((1, 2)), 3, seed=0, size_of=len
-        )
+        rep = sweep(check_square, self._square(1, 1, lax=False), _const_inputs((1, 2)), 3, size_of=len)
         assert rep.cost_table == ((2, 1, 1),)
 
 
@@ -231,13 +264,13 @@ class TestCheckNoninterference:
         return rng.sample(range(10), k=3)
 
     def test_lawful_queues_agree(self) -> None:
-        rep = check_noninterference(
+        rep = sweep(
+            check_noninterference,
             qreverse,
             [("list", LIST_QUEUE), ("batched", BATCHED_QUEUE)],
             lambda a, b: a == b,
             self._items,
             20,
-            seed=0,
         )
         assert rep.passed
         assert rep.cases == 20
@@ -245,38 +278,37 @@ class TestCheckNoninterference:
     def test_stack_is_distinguishable(self) -> None:
         from costglue.suites import STACK_IMPL
 
-        rep = check_noninterference(
+        rep = sweep(
+            check_noninterference,
             qreverse,
             [("list", LIST_QUEUE), ("stack", STACK_IMPL)],
             lambda a, b: a == b,
             self._items,
             10,
-            seed=0,
         )
         assert not rep.passed
         assert any("list~stack" in f.law for f in rep.failures)
 
     def test_three_impls_compare_pairwise(self) -> None:
-        rep = check_noninterference(
+        rep = sweep(
+            check_noninterference,
             lambda impl, e: qreverse(impl, [e]),
             [("a", LIST_QUEUE), ("b", BATCHED_QUEUE), ("c", LIST_QUEUE)],
             lambda a, b: a == b,
             lambda rng: rng.randrange(9),
             4,
-            seed=0,
         )
         assert rep.cases == 12  # 3 pairs per sample
 
     def test_needs_two_impls(self) -> None:
         with pytest.raises(ValueError):
-            check_noninterference(
-                qreverse, [("only", LIST_QUEUE)], lambda a, b: a == b, self._items, 1
-            )
+            sweep(check_noninterference, qreverse, [("only", LIST_QUEUE)], lambda a, b: a == b, self._items, 1)
 
 
 class TestCheckAbstractMonoid:
     def test_tuple_monoid_passes(self) -> None:
-        rep = check_abstract_monoid(
+        rep = sweep(
+            check_abstract_monoid,
             (),
             TUPLE_OPS.append,
             IDENTITY,
@@ -289,7 +321,8 @@ class TestCheckAbstractMonoid:
 
     def test_left_biased_append_fails_left_unit(self) -> None:
         first = lambda a, b: ret(a)
-        rep = check_abstract_monoid(
+        rep = sweep(
+            check_abstract_monoid,
             (),
             first,
             IDENTITY,
@@ -308,7 +341,8 @@ class TestCheckAbstractHom:
         return draw(), draw(), rng.randrange(9)
 
     def test_sum_is_a_hom_from_tuples(self) -> None:
-        rep = check_abstract_hom(
+        rep = sweep(
+            check_abstract_hom,
             lambda t: ret(sum(t)),
             TUPLE_OPS,
             SUM_OPS,
@@ -320,7 +354,8 @@ class TestCheckAbstractHom:
         assert rep.passed
 
     def test_shifted_sum_is_not(self) -> None:
-        rep = check_abstract_hom(
+        rep = sweep(
+            check_abstract_hom,
             lambda t: ret(sum(t) + 1),
             TUPLE_OPS,
             SUM_OPS,
@@ -347,7 +382,8 @@ class TestUniversalProperty:
         assert fold_elements(TUPLE_OPS, "ab") == ("a", "b")
 
     def test_structural_fold_agrees(self) -> None:
-        rep = check_universal_property(
+        rep = sweep(
+            check_universal_property,
             self.TUPLE_SEQ,
             TargetMonoid("sum", SUM_OPS),
             lambda rng: tuple(rng.randrange(9) for _ in range(rng.randrange(6))),
@@ -357,7 +393,8 @@ class TestUniversalProperty:
         assert rep.passed
 
     def test_uniqueness_flags_an_imposter(self) -> None:
-        rep = check_universal_property(
+        rep = sweep(
+            check_universal_property,
             self.TUPLE_SEQ,
             TargetMonoid("sum", SUM_OPS),
             lambda rng: tuple(rng.randrange(9) for _ in range(1 + rng.randrange(5))),

@@ -1,0 +1,89 @@
+"""Every suite's report, pinned byte for byte by its SHA-1.
+
+The reports are pure functions of ``(suite, seed, iterations, mode)``;
+this pins the JSON that ``cli.emit_json`` writes for every suite in
+every mode at seed 0 and 20 iterations.  A refactor must leave these
+hashes alone; a change that alters the report format on purpose updates
+them and says so in CHANGES.md.
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+import pytest
+
+from costglue.cli import emit_json
+from costglue.phase import EvaluationMode
+from costglue.suites import REGISTRY
+
+SEED = 0
+ITERATIONS = 20
+
+PINNED = {
+    "cost/laws": {
+        "full": "91c1fb9f5964954a325d5ba8b01e7feb54b0d82a",
+        "abstract": "78a18dcc8d7ba30b22e1d2814ad2c007aea5c697",
+        "behavioral": "38cc62a2199606cc089df81c49255511a7a91e2c",
+        "concrete": "6febe7c0b7592b0c4b6868786a0505233fd06247",
+    },
+    "phase/roundtrip": {
+        "full": "2620d1a0b65072ad35ea01bf14ceff445330beb4",
+        "abstract": "2e788a498bd566a0863b63822658c62fdfac8021",
+        "behavioral": "c10b0b977d9f66515eb6e331e595209cb08d20b9",
+        "concrete": "eea3c53359ca45014a079ea1f5c99d86baaef94f",
+    },
+    "queues/coherence": {
+        "full": "b2a7c45bf71a8686966f46a9da0a793473785ca2",
+        "abstract": "db39263a2fd606507f66557f06fe7c3fe7322e8b",
+        "behavioral": "c6a8a04d5a35cf3f81a3f8e25e40e0e310ba0043",
+        "concrete": "23dbe335ed0f10b9e22294bada1fbb972396aabc",
+    },
+    "queues/noninterference": {
+        "full": "c404ae1e0d19e5c0d336f016460085621316596a",
+        "abstract": "dda30610812b81f4f47289d7d8c23eb35fb075f8",
+        "behavioral": "50c4ecacd157693a794e59c0f4769ec9e53e24df",
+        "concrete": "f2dfec35fd655b48241426338b6fa3143a1f9a69",
+    },
+    "rbtree/invariants": {
+        "full": "4a657a4dc0fe0dbcf84bd7ef9c6f8950f6785bdf",
+        "abstract": "6e4696ed75c4cecf904eb6b1767236a26d5924f5",
+        "behavioral": "697c0f36529b28c158b3d3d557933c271bf4dda9",
+        "concrete": "89965d722c89d0f9c32a43c5e1082b285336cabc",
+    },
+    "rbtree/reduce": {
+        "full": "fc289b50c404823c5f03074ddd4f74ee830ea672",
+        "abstract": "b55a0d273a41f8098dfd2ae81735339e60a3a853",
+        "behavioral": "73607362f66eed91676196959c7c014a9c2f0137",
+        "concrete": "d982341d937faca898fb766cb89b05c5e52cc444",
+    },
+    "rbtree/universal": {
+        "full": "9a186cc7c33ae6d98d2ae9e9f1d76e0f76950629",
+        "abstract": "6fe8c9f8607d72a8eccf8865aa579a7482665d9f",
+        "behavioral": "125dada2f661797f9ed93405fefbc6e90bf17e99",
+        "concrete": "cc768b8813c9f2ff109d8d4ccff957ea84d0f0cd",
+    },
+    "sealing/laws": {
+        "full": "ce5dfb231d85eed1cd2c4171486261eb93e8ed94",
+        "abstract": "90ea0daa4d2108044e15b8e78a69d0a45aa4f984",
+        "behavioral": "bd1cd2107d1daca3d6ee03e19a330a74c99e61da",
+        "concrete": "bab3f7b7981c0f4da1bab0fac9b2865b62b4f61f",
+    },
+    "sorting/bounds": {
+        "full": "269ec5f154f6e9048a1b98107695df4e0a013761",
+        "abstract": "4915c5901e38360dfe953ca2879db78414e35a41",
+        "behavioral": "f83a0a6dd7c9211de841125c366a020b55a8eb37",
+        "concrete": "a7b262604a5312a825c90088c83ef3b431a82570",
+    },
+}
+
+
+def test_every_suite_is_pinned() -> None:
+    assert sorted(PINNED) == sorted(REGISTRY)
+
+
+@pytest.mark.parametrize("mode", [m.value for m in EvaluationMode])
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_report_hash(name: str, mode: str) -> None:
+    report = REGISTRY[name](seed=SEED, iterations=ITERATIONS, mode=EvaluationMode(mode))
+    assert hashlib.sha1(emit_json(report).encode()).hexdigest() == PINNED[name][mode]
