@@ -16,6 +16,13 @@ behaves abstractly like a single node constructor over the two trees,
 and its cost, one unit per node built, stays within a constant multiple
 of the black-height difference.
 
+``validate`` audits a whole tree.  ``audit_concat`` audits one append in
+O(nodes built + depth): it walks the result against the two operands,
+skips every subtree shared by identity and checks only the nodes
+``append`` built, so it is exact for operands already known valid.  The
+``rbtree/invariants`` suite trusts it while its whole pool is known
+valid and falls back to ``validate`` and ``elements`` as the oracle.
+
 ``mapreduce`` folds a tree into any monoid by replacing constructors
 with the target's operations; ``reduce`` is the element fold with an
 explicit linear cost budget, and ``length_fast`` answers from the cached
@@ -102,13 +109,14 @@ def elements(t: RBTree) -> Tuple[Any, ...]:
     """Leaves in left-to-right order: the abstract view of the tree."""
     out: List[Any] = []
     stack = [t]
+    pop, push, emit = stack.pop, stack.append, out.append
     while stack:
-        node = stack.pop()
+        node = pop()
+        while isinstance(node, Node):  # down the left spine, right children saved
+            push(node.right)
+            node = node.left
         if isinstance(node, Leaf):
-            out.append(node.value)
-        elif isinstance(node, Node):
-            stack.append(node.right)
-            stack.append(node.left)
+            emit(node.value)
     return tuple(out)
 
 
@@ -147,6 +155,64 @@ def _validate(t: RBTree) -> Tuple[int, int]:
     if t.size != size:
         raise ValueError(f"cached size {t.size}, recomputed {size}")
     return bh, size
+
+
+def audit_concat(t: RBTree, a: RBTree, b: RBTree) -> bool:
+    """Is ``t`` a valid tree holding the leaves of ``a`` then ``b``?
+
+    For ``a`` and ``b`` already known valid, True means ``validate(t)``
+    passes and ``elements(t) == elements(a) + elements(b)``, so
+    ``t.size == a.size + b.size``.  One iterative walk compares ``[t]``
+    against ``[a, b]``: a subtree shared by identity is popped from both
+    sides unread, because trees are frozen; two leaves must hold equal
+    values, by the test tuple equality uses; otherwise the node with the
+    larger cached size is split, sizes only steering the walk.  Every
+    node of ``t`` that is split passes ``_validate``'s local checks
+    against its children's cached fields, which are themselves checked
+    when split or shared with the audited inputs.  The walk costs
+    O(nodes built + depth) after ``append``.  A False answer asserts
+    nothing: it also covers a node over an ``Empty`` child, which
+    ``append`` never builds, so the caller re-audits with the full path.
+    """
+    if not isinstance(t, (Empty, Leaf, Node)):
+        return False
+    mine: List[RBTree] = [t]
+    theirs: List[RBTree] = [b, a]
+    while True:
+        while mine and isinstance(mine[-1], Empty):
+            mine.pop()
+        while theirs and isinstance(theirs[-1], Empty):
+            theirs.pop()
+        if not mine or not theirs:
+            return not mine and not theirs
+        x, y = mine[-1], theirs[-1]
+        if x is y:
+            mine.pop()
+            theirs.pop()
+        elif isinstance(x, Leaf) and isinstance(y, Leaf):
+            if not (x.value is y.value or x.value == y.value):
+                return False
+            mine.pop()
+            theirs.pop()
+        elif isinstance(y, Node) and (isinstance(x, Leaf) or y.size > x.size):
+            theirs.pop()
+            theirs.append(y.right)
+            theirs.append(y.left)
+        elif isinstance(x, Node):
+            left, right = x.left, x.right
+            if not (isinstance(left, (Leaf, Node)) and isinstance(right, (Leaf, Node))):
+                return False
+            lbh, lsize = (0, 1) if isinstance(left, Leaf) else (left.black_height, left.size)
+            rbh, rsize = (0, 1) if isinstance(right, Leaf) else (right.black_height, right.size)
+            red = x.color is Color.RED
+            if (lbh != rbh or x.black_height != lbh + (0 if red else 1) or x.size != lsize + rsize
+                    or red and (left.color is not Color.BLACK or right.color is not Color.BLACK)):
+                return False
+            mine.pop()
+            mine.append(right)
+            mine.append(left)
+        else:
+            return False
 
 
 def root_color(t: RBTree) -> Color:

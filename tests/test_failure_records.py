@@ -7,11 +7,15 @@ come out: what a user sees when a suite rejects an implementation.
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
-from costglue import cost, queues, sorting, suites
+from costglue import cost, queues, rbtree, sorting, suites
+from costglue.cli import emit_json
 from costglue.cost import Charged, Cost
 from costglue.phase import EvaluationMode
+from costglue.rbtree import Node
 
 FULL = EvaluationMode.FULL
 BEHAVIORAL = EvaluationMode.BEHAVIORAL
@@ -44,6 +48,43 @@ def overcharging_dequeue(s, default=queues.DEFAULT_ELEMENT):
     out = queues.batched_dequeue(s, default)
     return Charged(out.cost + Cost(1), out.value)
 
+
+def subtree_dropping_append(t1, t2):
+    """Drops the right subtree of every result with more than eight leaves."""
+    out = rbtree.append(t1, t2)
+    t = out.value
+    if isinstance(t, Node) and t.size > 8:
+        return Charged(out.cost, t.left)
+    return out
+
+
+def stale_size_append(t1, t2):
+    """Caches a size one too large on the new root of every fifth size."""
+    out = rbtree.append(t1, t2)
+    t = out.value
+    if isinstance(t, Node) and t is not t1 and t is not t2 and t.size % 5 == 0:
+        stale = Node(t.color, t.left, t.right)
+        object.__setattr__(stale, "size", t.size + 1)
+        return Charged(out.cost, stale)
+    return out
+
+
+# (cases, SHA-1 of the emitted report) of rbtree/invariants at seed 0 and
+# 60 iterations with a broken append, per mode.
+TREE_RECORDS = {
+    subtree_dropping_append: {
+        "full": (282, "316b8a3f47ad7573aaa9bddf4b316fcf920d9604"),
+        "abstract": (222, "46331b87b805c911e5dd94b4411cd084d1e655bf"),
+        "concrete": (78, "e01d692f6ba55dc3e025899eb213282e0c2169cb"),
+        "behavioral": (162, "db4f3a88e525baf9015e214ff9b0d36c33ae460b"),
+    },
+    stale_size_append: {
+        "full": (282, "08a7fc0d9e333bc494e86deb88815424d8424805"),
+        "abstract": (222, "3d82a8f6a8418fff50e96c0d98ba7e6efac0a1bd"),
+        "concrete": (78, "1a6cde126630d29d35b4c8758b36b3e38d805a04"),
+        "behavioral": (162, "c8a20ef021a3a8540db926d539dcf4201e338619"),
+    },
+}
 
 SORTING_RECORDS = [
     (
@@ -153,3 +194,15 @@ def test_queue_coherence_rejects_an_overcharging_dequeue(monkeypatch) -> None:
 def test_behavioral_mode_erases_the_dequeue_overcharge(monkeypatch) -> None:
     monkeypatch.setattr(suites, "batched_dequeue", overcharging_dequeue)
     assert suites.REGISTRY["queues/coherence"](0, 20, BEHAVIORAL).passed
+
+
+@pytest.mark.parametrize("mode", [m.value for m in EvaluationMode])
+@pytest.mark.parametrize("broken", list(TREE_RECORDS), ids=lambda f: f.__name__)
+def test_tree_invariants_record_a_broken_append(monkeypatch, broken, mode) -> None:
+    monkeypatch.setattr(suites, "append", broken)
+    rep = suites.REGISTRY["rbtree/invariants"](0, 60, EvaluationMode(mode))
+    digest = hashlib.sha1(emit_json(rep).encode()).hexdigest()
+    assert (rep.cases, digest) == TREE_RECORDS[broken][mode]
+    # Only concrete mode, which judges no abstract agreement, lets the
+    # dropped subtree through.
+    assert rep.passed == (broken is subtree_dropping_append and mode == "concrete")

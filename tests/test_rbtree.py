@@ -20,6 +20,7 @@ from costglue.rbtree import (
     RBTree,
     append,
     append_bound,
+    audit_concat,
     elements,
     from_iterable,
     length_fast,
@@ -156,6 +157,120 @@ class TestAppend:
         assert elements(t) == tuple(range(300))
         # A balanced tree of 300 leaves keeps a short black spine.
         assert t.black_height <= 10
+
+
+def forge(color: Color, left: object, right: object, black_height: int, size: int) -> Node:
+    """A node with the given fields, skipping the constructor's checks."""
+    node = object.__new__(Node)
+    for name, value in (("color", color), ("left", left), ("right", right),
+                        ("black_height", black_height), ("size", size)):
+        object.__setattr__(node, name, value)
+    return node
+
+
+def stale(node: Node, **fields: int) -> Node:
+    """A copy of ``node`` with some cached fields overwritten."""
+    cached = {"black_height": node.black_height, "size": node.size, **fields}
+    return forge(node.color, node.left, node.right, cached["black_height"], cached["size"])
+
+
+class TestAuditConcat:
+    """The identity-frontier walk against the full validate/elements oracle."""
+
+    def test_pool_appends_pass_and_agree_with_the_oracle(self) -> None:
+        rng = random.Random(11)
+        pool = [EMPTY] + [from_iterable(range(n)) for n in (1, 2, 3, 5, 8, 13)]
+        for _ in range(2000):
+            a, b = rng.choice(pool), rng.choice(pool)
+            t = append(a, b).value
+            assert audit_concat(t, a, b)
+            validate(t)
+            assert elements(t) == elements(a) + elements(b)
+            pool.append(t if t.size <= 512 else singleton(rng.random()))
+            if len(pool) > 64:
+                pool.pop(rng.randrange(len(pool)))
+
+    def test_red_node_with_a_red_child(self) -> None:
+        a, b = from_iterable((1, 2)), Leaf(3)
+        t = Node(Color.RED, Node(Color.RED, Leaf(1), Leaf(2)), Leaf(3))
+        assert not audit_concat(t, a, b)
+        with pytest.raises(ValueError, match="red child"):
+            validate(t)
+
+    @pytest.mark.parametrize("field", ["black_height", "size"])
+    def test_stale_cache_on_a_new_node(self, field: str) -> None:
+        a, b = from_iterable(range(5)), from_iterable(range(5, 7))
+        t = append(a, b).value
+        assert isinstance(t, Node)
+        broken = stale(t, **{field: getattr(t, field) + 1})
+        assert not audit_concat(broken, a, b)
+        with pytest.raises(ValueError, match="cached"):
+            validate(broken)
+
+    def test_stale_size_below_the_root(self) -> None:
+        a, b = from_iterable(range(5)), from_iterable(range(5, 7))
+        t = append(a, b).value
+        assert isinstance(t, Node) and isinstance(t.left, Node)
+        # The parent caches the sum of the stale child, so only the child is wrong.
+        broken = Node(t.color, stale(t.left, size=t.left.size + 1), t.right)
+        assert not audit_concat(broken, a, b)
+        with pytest.raises(ValueError, match="cached size"):
+            validate(broken)
+
+    def test_reordered_and_dropped_leaves(self) -> None:
+        a, b = from_iterable((1, 2, 3)), from_iterable((4, 5))
+        assert not audit_concat(append(b, a).value, a, b)
+        assert not audit_concat(a, a, b)
+        assert not audit_concat(append(a, Leaf(5)).value, a, b)
+        assert not audit_concat(append(a, from_iterable((5, 4))).value, a, b)
+        assert not audit_concat(append(a, from_iterable((4, 5, 6))).value, a, b)
+
+    def test_non_tree_child_or_root(self) -> None:
+        a, b = Leaf(1), Leaf(2)
+        assert not audit_concat(forge(Color.BLACK, Leaf(1), 2, 1, 2), a, b)
+        assert not audit_concat(forge(Color.BLACK, None, Leaf(2), 1, 2), a, b)
+        assert not audit_concat((1, 2), a, b)  # type: ignore[arg-type]
+
+    def test_nodes_over_empty_children(self) -> None:
+        a, b = Leaf(1), Leaf(2)
+        # An empty pair where a leaf belongs drops the leaf ...
+        assert not audit_concat(Node(Color.BLACK, Leaf(1), Node(Color.RED, EMPTY, EMPTY)), a, b)
+        # ... and append never builds an empty child, so the walk declines
+        # such a node even where the oracle would pass it.
+        padded = Node(Color.BLACK, Leaf(1), Node(Color.RED, Leaf(2), EMPTY))
+        assert not audit_concat(padded, a, b)
+        validate(padded)
+
+    def test_empty_operands(self) -> None:
+        t = from_iterable(range(4))
+        assert audit_concat(EMPTY, EMPTY, EMPTY)
+        assert audit_concat(t, t, EMPTY)
+        assert audit_concat(t, EMPTY, t)
+        assert not audit_concat(EMPTY, t, EMPTY)
+        assert not audit_concat(t, EMPTY, EMPTY)
+
+    def test_leaf_values_compare_like_tuples(self) -> None:
+        nan = float("nan")
+        a, b = Leaf(nan), Leaf(2)
+        t = Node(Color.BLACK, Leaf(nan), Leaf(2))  # a new leaf over the same value
+        assert (nan, 2) == elements(t) == elements(a) + elements(b)
+        assert audit_concat(t, a, b)
+        other = Node(Color.BLACK, Leaf(float("nan")), Leaf(2))
+        assert elements(other) != elements(a) + elements(b)
+        assert not audit_concat(other, a, b)
+
+    def test_deep_red_chain_does_not_recurse(self) -> None:
+        n = 5000
+        chain: RBTree = Leaf(n - 1)
+        for i in reversed(range(n - 1)):
+            chain = Node(Color.RED, Leaf(i), chain)
+        balanced = from_iterable(range(n))
+        with pytest.raises(RecursionError):
+            validate(chain)
+        assert not audit_concat(chain, balanced, EMPTY)
+        # Operands are trusted, so the walk descends the chain without
+        # checking it, iteratively, and the valid result passes.
+        assert audit_concat(balanced, chain, EMPTY)
 
 
 class TestObservers:

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import cProfile
+import pstats
+
 import pytest
 
+from costglue import rbtree, suites
 from costglue.cli import emit_json
 from costglue.harness import EvaluationMode
 from costglue.suites import REGISTRY
@@ -73,3 +77,37 @@ def test_zero_iterations_is_lawful() -> None:
     for name in ALL_SUITES:
         rep = REGISTRY[name](seed=0, iterations=0, mode=EvaluationMode.FULL)
         assert rep.passed
+
+
+def _calls(run, *functions) -> list[int]:
+    """How often each function is entered while ``run()`` runs, however it is bound."""
+    profile = cProfile.Profile()
+    profile.runcall(run)
+    stats = pstats.Stats(profile).stats
+    return [
+        sum(calls for (file, line, name), (_, calls, *_) in stats.items()
+            if (file, line, name) == (f.__code__.co_filename, f.__code__.co_firstlineno, f.__name__))
+        for f in functions
+    ]
+
+
+def test_tree_invariants_audit_only_the_nodes_each_append_built() -> None:
+    iterations = 300
+    rep = None
+
+    def run() -> None:
+        nonlocal rep
+        rep = REGISTRY["rbtree/invariants"](seed=0, iterations=iterations, mode=EvaluationMode.FULL)
+
+    validates, reads = _calls(run, rbtree.validate, rbtree.elements)
+    assert rep is not None and rep.passed
+    assert validates == 7  # the initial pool, once
+    # Six reads per sampled monoid triple, two per abstract-client probe.
+    assert reads <= 8 * (iterations // 10)
+
+
+@pytest.mark.parametrize("mode", ALL_MODES)
+def test_tree_invariants_report_is_the_oracle_report(monkeypatch, mode: EvaluationMode) -> None:
+    fast = emit_json(REGISTRY["rbtree/invariants"](seed=3, iterations=200, mode=mode))
+    monkeypatch.setattr(suites, "audit_concat", lambda t, a, b: False)
+    assert emit_json(REGISTRY["rbtree/invariants"](seed=3, iterations=200, mode=mode)) == fast
