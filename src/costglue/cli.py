@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
-from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -94,6 +94,34 @@ def emit_report(report: Report, fmt: str) -> str:
     raise ValueError(f"unknown report format {fmt!r}")
 
 
+class ReportFile:
+    """A report that replaces ``path`` only once it is written whole.
+
+    The text goes to a temporary file beside ``path``, made when the
+    ``ReportFile`` is, and ``commit`` renames it over ``path``; until
+    then ``path`` keeps what it held.  An existing ``path`` is opened
+    for appending, which changes nothing, so a directory or a read-only
+    file fails here too.  ``discard`` removes an uncommitted temporary.
+    """
+
+    def __init__(self, path: str) -> None:
+        if os.path.exists(path):
+            open(path, "a").close()
+        self.path = path
+        self.tmp = os.path.join(os.path.dirname(path), f".{os.path.basename(path)}.{os.getpid()}.tmp")
+        self.fh = open(self.tmp, "w", encoding="utf-8")
+
+    def commit(self, text: str) -> None:
+        with self.fh:
+            self.fh.write(text)
+        os.replace(self.tmp, self.path)
+
+    def discard(self) -> None:
+        self.fh.close()
+        if os.path.exists(self.tmp):
+            os.remove(self.tmp)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="costglue",
@@ -148,22 +176,29 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         report_path=args.report,
         format=args.format,
     )
-    # Open the report path first, so an unwritable one fails before the run.
+    # Make the report file first, so an unwritable path fails before the run.
     try:
-        out = open(config.report_path, "w", encoding="utf-8") if config.report_path else nullcontext(sys.stdout)
+        out = ReportFile(config.report_path) if config.report_path else None
     except OSError as err:
         print(
             f"costglue: error: cannot write report to {config.report_path!r}: {err.strerror}",
             file=sys.stderr,
         )
         return 2
-    with out as fh:
+    try:
         try:
             report = run_suite(config)
         except (CoherenceError, BoundViolation, ValueError, OverflowError) as err:
             print(f"costglue: internal invariant breach: {err}", file=sys.stderr)
             return 1
-        fh.write(emit_report(report, config.format))
+        text = emit_report(report, config.format)
+        if out is None:
+            sys.stdout.write(text)
+        else:
+            out.commit(text)
+    finally:
+        if out is not None:
+            out.discard()
     return 0 if report.passed else 1
 
 

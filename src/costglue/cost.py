@@ -21,11 +21,19 @@ U = TypeVar("U")
 MAX_COST = 2**63 - 1
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, slots=True, order=True, init=False)
 class Cost:
-    """A non-negative amount of abstract work, with checked addition."""
+    """A non-negative amount of abstract work, with checked addition.
+
+    ``Cost(n)`` validates ``n``; a sum of two costs, already valid, only
+    checks for overflow.
+    """
 
     value: int
+
+    def __init__(self, value: int) -> None:
+        _set_cost_value(self, value)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if type(self.value) is bool or not isinstance(self.value, int):
@@ -41,13 +49,19 @@ class Cost:
         total = self.value + other.value
         if total > MAX_COST:
             raise OverflowError(f"cost sum {total} exceeds MAX_COST")
-        return Cost(total)
+        out = _new(Cost)
+        _set_cost_value(out, total)
+        return out
 
     def __repr__(self) -> str:
         return f"Cost({self.value})"
 
 
+_new = object.__new__
+_set_cost_value = Cost.value.__set__
+
 ZERO = Cost(0)
+ONE = Cost(1)
 
 CostLike = Union[Cost, int]
 
@@ -57,16 +71,29 @@ def as_cost(c: CostLike) -> Cost:
     return c if isinstance(c, Cost) else Cost(c)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Charged(Generic[T]):
-    """A value together with the cost accumulated while producing it."""
+    """A value together with the cost accumulated while producing it.
+
+    The cost may be given as a plain integer, which is validated into a
+    ``Cost``.
+    """
 
     cost: Cost
     value: T
 
+    def __init__(self, cost: CostLike, value: T) -> None:
+        _set_charged_cost(self, cost)
+        _set_charged_value(self, value)
+        self.__post_init__()
+
     def __post_init__(self) -> None:
         if not isinstance(self.cost, Cost):
-            object.__setattr__(self, "cost", as_cost(self.cost))
+            _set_charged_cost(self, as_cost(self.cost))
+
+
+_set_charged_cost = Charged.cost.__set__
+_set_charged_value = Charged.value.__set__
 
 
 def ret(value: T) -> Charged[T]:

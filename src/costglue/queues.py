@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence, Tuple, TypeVar
 
-from .cost import Charged, Cost, bind, erase, ret
+from .cost import ONE, Charged, Cost, bind, erase, ret
 from .phase import AbstractionFn, spec_member
 from .sealing import seal
 
@@ -32,19 +32,31 @@ E = TypeVar("E")
 DEFAULT_ELEMENT = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class ListQueueState:
     """Specification queue: the abstract list itself, oldest element first."""
 
-    items: Tuple[Any, ...] = ()
+    items: Tuple[Any, ...]
+
+    def __init__(self, items: Tuple[Any, ...] = ()) -> None:
+        _set_items(self, items)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class BatchedQueueState:
     """Two-list queue: inbox newest-first, outbox oldest-first."""
 
-    inbox: Tuple[Any, ...] = ()
-    outbox: Tuple[Any, ...] = ()
+    inbox: Tuple[Any, ...]
+    outbox: Tuple[Any, ...]
+
+    def __init__(self, inbox: Tuple[Any, ...] = (), outbox: Tuple[Any, ...] = ()) -> None:
+        _set_inbox(self, inbox)
+        _set_outbox(self, outbox)
+
+
+_set_items = ListQueueState.items.__set__
+_set_inbox = BatchedQueueState.inbox.__set__
+_set_outbox = BatchedQueueState.outbox.__set__
 
 
 def rev_append(state: BatchedQueueState) -> Tuple[Any, ...]:
@@ -64,7 +76,7 @@ def list_empty() -> ListQueueState:
 
 def list_enqueue(e: Any, s: ListQueueState) -> Charged[ListQueueState]:
     """Append at the back; one unit, same as the batched enqueue."""
-    return Charged(Cost(1), ListQueueState(s.items + (e,)))
+    return Charged(ONE, ListQueueState(s.items + (e,)))
 
 
 def list_dequeue(s: ListQueueState, default: Any = DEFAULT_ELEMENT) -> Charged[Tuple[Any, ListQueueState]]:
@@ -87,7 +99,7 @@ def batched_empty() -> BatchedQueueState:
 
 def batched_enqueue(e: Any, s: BatchedQueueState) -> Charged[BatchedQueueState]:
     """Cons onto the inbox; one unit."""
-    return Charged(Cost(1), BatchedQueueState((e,) + s.inbox, s.outbox))
+    return Charged(ONE, BatchedQueueState((e,) + s.inbox, s.outbox))
 
 
 def batched_dequeue(s: BatchedQueueState, default: Any = DEFAULT_ELEMENT) -> Charged[Tuple[Any, BatchedQueueState]]:

@@ -132,29 +132,51 @@ def validate(t: RBTree) -> None:
     _validate(t)
 
 
+# Marks, on a work stack, an internal node whose two children are done.
+_JOIN = object()
+
+
 def _validate(t: RBTree) -> Tuple[int, int]:
-    if isinstance(t, Empty):
-        return 0, 0
-    if isinstance(t, Leaf):
-        return 0, 1
-    if not isinstance(t, Node):
-        raise ValueError(f"not a tree: {t!r}")
-    lbh, lsize = _validate(t.left)
-    rbh, rsize = _validate(t.right)
-    if lbh != rbh:
-        raise ValueError(f"child black heights differ: {lbh} vs {rbh}")
-    if t.color is Color.RED:
-        if t.left.color is not Color.BLACK or t.right.color is not Color.BLACK:
-            raise ValueError("red node with a red child")
-        bh = lbh
-    else:
-        bh = lbh + 1
-    if t.black_height != bh:
-        raise ValueError(f"cached black height {t.black_height}, recomputed {bh}")
-    size = lsize + rsize
-    if t.size != size:
-        raise ValueError(f"cached size {t.size}, recomputed {size}")
-    return bh, size
+    """Black height and size of ``t``, checked bottom-up without recursion.
+
+    Children are checked before their parent, left before right, so the
+    first breach raised is the one a recursive audit would meet first.
+    """
+    done: List[Tuple[int, int]] = []
+    todo: List[Any] = [t]
+    pop, push, emit = todo.pop, todo.append, done.append
+    while todo:
+        node = pop()
+        if node is _JOIN:
+            node = pop()
+            rbh, rsize = done.pop()
+            lbh, lsize = done.pop()
+            if lbh != rbh:
+                raise ValueError(f"child black heights differ: {lbh} vs {rbh}")
+            if node.color is Color.RED:
+                if node.left.color is not Color.BLACK or node.right.color is not Color.BLACK:
+                    raise ValueError("red node with a red child")
+                bh = lbh
+            else:
+                bh = lbh + 1
+            if node.black_height != bh:
+                raise ValueError(f"cached black height {node.black_height}, recomputed {bh}")
+            size = lsize + rsize
+            if node.size != size:
+                raise ValueError(f"cached size {node.size}, recomputed {size}")
+            emit((bh, size))
+        elif isinstance(node, Node):
+            push(node)
+            push(_JOIN)
+            push(node.right)
+            push(node.left)
+        elif isinstance(node, Leaf):
+            emit((0, 1))
+        elif isinstance(node, Empty):
+            emit((0, 0))
+        else:
+            raise ValueError(f"not a tree: {node!r}")
+    return done[0]
 
 
 def audit_concat(t: RBTree, a: RBTree, b: RBTree) -> bool:
@@ -327,16 +349,34 @@ def mapreduce(t: RBTree, target: MonoidOps) -> Charged[Any]:
     and every internal node becomes a charged append; the total cost is
     the sum of the target appends.  Abstractly this is the list fold
     over ``elements(t)``.
+
+    The fold runs bottom-up without recursion, calling the target in the
+    order a recursive fold would.  Costs are summed as plain ints into
+    one ``Cost`` at the end; they are non-negative, so that ``Cost``
+    overflows exactly when some partial sum would have.
     """
-    if isinstance(t, Empty):
-        return ret(target.empty)
-    if isinstance(t, Leaf):
-        return ret(target.singleton(t.value))
-    assert isinstance(t, Node)
-    left = mapreduce(t.left, target)
-    right = mapreduce(t.right, target)
-    combined = target.append(left.value, right.value)
-    return Charged(left.cost + right.cost + combined.cost, combined.value)
+    singleton, join = target.singleton, target.append
+    values: List[Any] = []
+    todo: List[Any] = [t]
+    pop, push, emit = todo.pop, todo.append, values.append
+    total = 0
+    while todo:
+        node = pop()
+        if node is _JOIN:
+            right = values.pop()
+            out = join(values.pop(), right)
+            total += out.cost.value
+            emit(out.value)
+        elif isinstance(node, Node):
+            push(_JOIN)
+            push(node.right)
+            push(node.left)
+        elif isinstance(node, Leaf):
+            emit(singleton(node.value))
+        else:
+            assert isinstance(node, Empty)
+            emit(target.empty)
+    return Charged(Cost(total), values[0])
 
 
 def length_fast(t: RBTree) -> int:
@@ -350,14 +390,16 @@ def reduce(f: Callable[[Any, Any], Charged[Any]], unit: Any, t: RBTree) -> Charg
     Charges one unit per leaf or empty visited, plus whatever ``f``
     charges at each internal node.  With a unit-cost combiner the total
     for a nonempty tree is leaves plus internal nodes, under twice the
-    size; the empty tree costs its single visit.
+    size; the empty tree costs its single visit.  This is ``mapreduce``
+    into the combiner's monoid: every node has two children, so the
+    leaves and empties visited are one more than the nodes combined.
     """
-    if isinstance(t, Empty):
-        return Charged(Cost(1), unit)
-    if isinstance(t, Leaf):
-        return Charged(Cost(1), t.value)
-    assert isinstance(t, Node)
-    left = reduce(f, unit, t.left)
-    right = reduce(f, unit, t.right)
-    combined = f(left.value, right.value)
-    return Charged(left.cost + right.cost + combined.cost, combined.value)
+    joins = 0
+
+    def join(x: Any, y: Any) -> Charged[Any]:
+        nonlocal joins
+        joins += 1
+        return f(x, y)
+
+    out = mapreduce(t, MonoidOps(empty=unit, append=join, singleton=lambda e: e))
+    return Charged(Cost(out.cost.value + joins + 1), out.value)

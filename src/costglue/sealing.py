@@ -45,7 +45,7 @@ class BoundViolation(Exception):
         super().__init__("; ".join(reasons) or "invalid seal")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Sealed(Generic[T]):
     """An implementation/specification pair validated at construction.
 
@@ -55,13 +55,29 @@ class Sealed(Generic[T]):
 
     impl: Charged[T]
     spec: Charged[T]
-    beh_eq: Callable[[T, T], bool] = field(default=operator.eq, compare=False)
+    beh_eq: Callable[[T, T], bool] = field(compare=False)
+
+    def __init__(
+        self,
+        impl: Charged[T],
+        spec: Charged[T],
+        beh_eq: Callable[[T, T], bool] = operator.eq,
+    ) -> None:
+        _set_impl(self, impl)
+        _set_spec(self, spec)
+        _set_beh_eq(self, beh_eq)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         cost_ok = self.impl.cost <= self.spec.cost
         beh_ok = bool(self.beh_eq(self.impl.value, self.spec.value))
         if not (cost_ok and beh_ok):
             raise BoundViolation(self.impl.cost, self.spec.cost, not beh_ok)
+
+
+_set_impl = Sealed.impl.__set__
+_set_spec = Sealed.spec.__set__
+_set_beh_eq = Sealed.beh_eq.__set__
 
 
 def seal(

@@ -334,18 +334,37 @@ def sealing_laws(rb: ReportBuilder) -> None:
 # ---------------------------------------------------------------------------
 # queues/coherence
 
-def _enqueue_square() -> SquareSpec:
+class _LastImage:
+    """``rev_append`` that remembers the last state it read, by identity.
+
+    States are frozen, so a state's image never changes.  Along a trace
+    each step's result state is the next step's input, so the image the
+    dequeue or enqueue square computes for one step's output serves the
+    next step's input and the quotient check unrecomputed.
+    """
+
+    def __init__(self) -> None:
+        self.state: Optional[BatchedQueueState] = None
+        self.image: Tuple[Any, ...] = ()
+
+    def __call__(self, s: BatchedQueueState) -> Tuple[Any, ...]:
+        if s is not self.state:
+            self.state, self.image = s, rev_append(s)
+        return self.image
+
+
+def _enqueue_square(image: Callable[[BatchedQueueState], Tuple[Any, ...]]) -> SquareSpec:
     return SquareSpec(
         name="enqueue",
         f_top=lambda p: batched_enqueue(p[0], p[1]),
         f_abs=lambda p: Charged(Cost(1), p[1] + (p[0],)),
-        alpha_in=AbstractionFn(apply=lambda p: (p[0], rev_append(p[1]))),
-        alpha_out=BATCHED_ALPHA,
+        alpha_in=AbstractionFn(apply=lambda p: (p[0], image(p[1]))),
+        alpha_out=AbstractionFn(apply=image),
         lax=False,
     )
 
 
-def _dequeue_square() -> SquareSpec:
+def _dequeue_square(image: Callable[[BatchedQueueState], Tuple[Any, ...]]) -> SquareSpec:
     def f_abs(items: Tuple[Any, ...]) -> Charged[Tuple[Any, Tuple[Any, ...]]]:
         out = list_dequeue(ListQueueState(items))
         return Charged(out.cost, (out.value[0], out.value[1].items))
@@ -354,8 +373,8 @@ def _dequeue_square() -> SquareSpec:
         name="dequeue",
         f_top=batched_dequeue,
         f_abs=f_abs,
-        alpha_in=BATCHED_ALPHA,
-        alpha_out=AbstractionFn(apply=lambda out: (out[0], rev_append(out[1]))),
+        alpha_in=AbstractionFn(apply=image),
+        alpha_out=AbstractionFn(apply=lambda out: (out[0], image(out[1]))),
         lax=True,
     )
 
@@ -375,9 +394,12 @@ def _run_coherence_trace(
     ``squares`` are the enqueue and dequeue squares; each step is checked
     from the image of the current batched state.  With ``quotient_rng``
     every step also checks that abstractly equal states are
-    indistinguishable to the operations.
+    indistinguishable to the operations.  The image is read through the
+    dequeue square's abstraction function, which carries it over from
+    the step that produced the state.
     """
     enqueue_square, dequeue_square = squares
+    image_of = dequeue_square.alpha_in.apply
     bat = batched_empty()
     enqueues = 0
     reversal_work = 0
@@ -399,7 +421,7 @@ def _run_coherence_trace(
             bat = top.value[1]
 
         if quotient_rng is not None and rb.check_beh:
-            image = rev_append(bat)
+            image = image_of(bat)
             cut = quotient_rng.randrange(len(image) + 1)
             alt = BatchedQueueState(tuple(reversed(image[cut:])), image[:cut])
             probe_e = quotient_rng.randrange(100)
@@ -472,7 +494,8 @@ def queues_coherence(rb: ReportBuilder) -> None:
         lambda: ("()", "()", render(rev_append(batched_empty()))),
     )
 
-    squares = (_enqueue_square(), _dequeue_square())
+    image = _LastImage()
+    squares = (_enqueue_square(image), _dequeue_square(image))
     check_square(
         rb,
         "/enqueue",

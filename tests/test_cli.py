@@ -131,6 +131,39 @@ class TestUsageErrors:
         assert out == ""
         assert err == f"costglue: error: cannot write report to {path!r}: No such file or directory\n"
 
+    def test_directory_report_path_fails_before_the_run(self, tmp_path, capsys, monkeypatch) -> None:
+        def must_not_run(seed, iters, mode):
+            raise AssertionError("the suite ran before the report path was checked")
+
+        monkeypatch.setitem(REGISTRY, "never-run", must_not_run)
+        code, out, err = run_cli(capsys, "run", "--suite", "never-run", "--report", str(tmp_path))
+        assert code == 2
+        assert out == ""
+        assert err == f"costglue: error: cannot write report to {str(tmp_path)!r}: Is a directory\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_report_replaces_an_existing_file(self, tmp_path, capsys) -> None:
+        path = tmp_path / "r.json"
+        path.write_text("old report\n", encoding="utf-8")
+        code, out, _ = run_cli(capsys, "run", "--suite", "cost/laws", "--iters", "2", "--report", str(path))
+        assert code == 0
+        assert out == ""
+        assert json.loads(path.read_text(encoding="utf-8"))["suite"] == "cost/laws"
+        assert [p.name for p in tmp_path.iterdir()] == ["r.json"]
+
+    def test_breach_leaves_an_existing_report_as_it_was(self, tmp_path, capsys, monkeypatch) -> None:
+        def blows_up(seed, iters, mode):
+            raise ValueError("cached size went stale")
+
+        monkeypatch.setitem(REGISTRY, "exploding", blows_up)
+        path = tmp_path / "r.json"
+        path.write_text("old report\n", encoding="utf-8")
+        code, _, err = run_cli(capsys, "run", "--suite", "exploding", "--report", str(path))
+        assert code == 1
+        assert "invariant breach" in err
+        assert path.read_text(encoding="utf-8") == "old report\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["r.json"]
+
     def test_bad_format_exits_2(self, capsys) -> None:
         with pytest.raises(SystemExit) as info:
             main(["run", "--suite", "cost/laws", "--format", "xml"])

@@ -7,7 +7,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from costglue.cost import Charged, Cost, ret
+from costglue.cost import MAX_COST, Charged, Cost, ret
 from costglue.harness import MonoidOps
 from costglue.rbtree import (
     APPEND_BOUND_FACTOR,
@@ -159,6 +159,27 @@ class TestAppend:
         assert t.black_height <= 10
 
 
+def red_chain(n: int) -> RBTree:
+    """Leaves 0..n-1 under a right spine of n - 1 red nodes: red under red from depth 2 on."""
+    chain: RBTree = Leaf(n - 1)
+    for i in reversed(range(n - 1)):
+        chain = Node(Color.RED, Leaf(i), chain)
+    return chain
+
+
+def recursive_fold(t: RBTree, leaf, empty, join, calls: list) -> object:
+    """The fold ``mapreduce`` and ``reduce`` run, written recursively, logging each call."""
+    if isinstance(t, Empty):
+        return empty
+    if isinstance(t, Leaf):
+        calls.append(("leaf", t.value))
+        return leaf(t.value)
+    left = recursive_fold(t.left, leaf, empty, join, calls)
+    right = recursive_fold(t.right, leaf, empty, join, calls)
+    calls.append(("join", left, right))
+    return join(left, right).value
+
+
 def forge(color: Color, left: object, right: object, black_height: int, size: int) -> Node:
     """A node with the given fields, skipping the constructor's checks."""
     node = object.__new__(Node)
@@ -261,16 +282,105 @@ class TestAuditConcat:
 
     def test_deep_red_chain_does_not_recurse(self) -> None:
         n = 5000
-        chain: RBTree = Leaf(n - 1)
-        for i in reversed(range(n - 1)):
-            chain = Node(Color.RED, Leaf(i), chain)
+        chain = red_chain(n)
         balanced = from_iterable(range(n))
-        with pytest.raises(RecursionError):
-            validate(chain)
         assert not audit_concat(chain, balanced, EMPTY)
         # Operands are trusted, so the walk descends the chain without
         # checking it, iteratively, and the valid result passes.
         assert audit_concat(balanced, chain, EMPTY)
+
+
+class TestValidate:
+    """``validate`` is iterative and reports the first breach a recursive audit meets."""
+
+    def test_deep_red_chain_is_a_breach(self) -> None:
+        with pytest.raises(ValueError, match="red node with a red child"):
+            validate(red_chain(5000))
+
+    def test_deep_valid_tree_passes(self) -> None:
+        t = from_iterable(range(5000))
+        validate(t)
+        assert audit(t) == (t.black_height, 5000)
+
+    def test_left_breach_is_reported_before_right_and_parent(self) -> None:
+        good = from_iterable(range(4))
+        assert isinstance(good, Node)
+        left = stale(good, size=good.size + 1)
+        right = stale(good, black_height=good.black_height + 1)
+        t = forge(Color.BLACK, left, right, good.black_height + 9, 0)
+        with pytest.raises(ValueError, match=f"cached size {good.size + 1}, recomputed {good.size}"):
+            validate(t)
+        with pytest.raises(ValueError, match="cached black height"):
+            validate(forge(Color.BLACK, good, right, good.black_height + 1, 2 * good.size))
+        with pytest.raises(ValueError, match=f"cached size 0, recomputed {2 * good.size}"):
+            validate(forge(Color.BLACK, good, good, good.black_height + 1, 0))
+
+    def test_non_tree_child(self) -> None:
+        with pytest.raises(ValueError, match="not a tree: 'x'"):
+            validate(forge(Color.BLACK, Leaf(1), "x", 1, 2))
+
+
+class TestDeepFolds:
+    """The folds are iterative: a 5000-deep chain folds without recursion."""
+
+    def test_mapreduce_and_reduce_fold_a_deep_chain(self) -> None:
+        chain = red_chain(5000)
+        plus = lambda a, b: Charged(Cost(1), a + b)  # noqa: E731
+        total = sum(range(5000))
+        assert mapreduce(chain, MonoidOps(empty=0, append=plus, singleton=lambda e: e)) == Charged(Cost(4999), total)
+        assert reduce(plus, 0, chain) == Charged(Cost(5000 + 4999), total)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_calls_follow_the_recursive_order(self, seed: int) -> None:
+        rng = random.Random(seed)
+        inner = build(rng, rng.randint(1, 40))
+        # Folds ignore the invariants; a node over an Empty child, which
+        # ``append`` never builds, folds the Empty to the target's empty.
+        right = forge(Color.RED, inner, Leaf(-2), inner.black_height, inner.size + 1)
+        t = forge(Color.BLACK, Node(Color.RED, EMPTY, Leaf(-1)), right, 0, inner.size + 2)
+        got: list = []
+
+        def logged(join):
+            def run(a, b):
+                got.append(("join", a, b))
+                return join(a, b)
+            return run
+
+        def singleton(e):
+            got.append(("leaf", e))
+            return (e,)
+
+        concat = lambda a, b: Charged(Cost(len(a)), a + b)  # noqa: E731
+        want: list = []
+        expected = recursive_fold(t, lambda e: (e,), (), concat, want)
+        out = mapreduce(t, MonoidOps(empty=(), append=logged(concat), singleton=singleton))
+        assert got == want
+        assert out.value == expected == elements(t)
+        assert out.cost.value == sum(len(c[1]) for c in want if c[0] == "join")
+
+        plus = lambda a, b: Charged(Cost(a % 3), a + b)  # noqa: E731
+        got.clear()
+        want.clear()
+        expected = recursive_fold(t, lambda e: e, 100, plus, want)
+        out = reduce(logged(plus), 100, t)
+        joins = [c for c in want if c[0] == "join"]
+        assert got == joins
+        assert out.value == expected == sum(elements(t)) + 100
+        # One unit per leaf and per Empty visited, plus the combiner's charges.
+        assert out.cost.value == t.size + 1 + sum(c[1] % 3 for c in joins)
+
+    def test_summed_cost_overflows_like_a_partial_sum(self) -> None:
+        half = MAX_COST // 2
+        t = from_iterable(range(3))  # two internal nodes
+
+        def target(step: int) -> MonoidOps:
+            return MonoidOps(empty=0, append=lambda a, b: Charged(Cost(step), a + b), singleton=lambda e: e)
+
+        assert mapreduce(t, target(half)).cost == Cost(2 * half)
+        with pytest.raises(OverflowError):
+            mapreduce(t, target(half + 1))
+        with pytest.raises(OverflowError):
+            reduce(lambda a, b: Charged(Cost(half), a + b), 0, t)
 
 
 class TestObservers:
