@@ -7,6 +7,12 @@ function relating them; the coherence condition (the image of the
 concrete half equals the claimed abstract half) is checked at
 construction and can therefore never be violated by a live object.
 
+An abstraction function may also carry an exact ``kernel``: a test of
+whether two representations have equal images that need not build
+either image.  ``abstract_equal`` uses it when present, so a checker can
+compare two large representations in time proportional to where they
+differ rather than to their size.
+
 ``EvaluationMode`` selects which half of a glued value a client is
 allowed to observe.  Behavioral observation is abstract observation with
 cost additionally out of view, so Behavioral implies Abstract here.
@@ -17,7 +23,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Callable, Generic, Tuple, TypeVar
+from typing import Any, Callable, Generic, Optional, Tuple, TypeVar
 
 C = TypeVar("C")
 A = TypeVar("A")
@@ -49,11 +55,14 @@ class AbstractionFn(Generic[C, A]):
     """A map from concrete representations to an abstract carrier.
 
     ``abs_eq`` is the equality the abstract carrier is considered up to;
-    it defaults to structural equality.
+    it defaults to structural equality.  ``kernel``, when given, must be
+    exact: ``kernel(x, y)`` is true exactly when
+    ``abs_eq(apply(x), apply(y))`` is.
     """
 
     apply: Callable[[C], A]
     abs_eq: Callable[[A, A], bool] = operator.eq
+    kernel: Optional[Callable[[C, C], bool]] = None
 
 
 @dataclass(frozen=True)
@@ -125,6 +134,9 @@ def abstract_equal(x: C, y: C, alpha: AbstractionFn[C, A]) -> bool:
 
     The kernel of ``alpha``: two representations are identified exactly
     when they have the same abstract image.  This is an equivalence
-    relation for every ``alpha`` whose ``abs_eq`` is one.
+    relation for every ``alpha`` whose ``abs_eq`` is one.  Decided by
+    ``alpha.kernel`` when given, otherwise by comparing the two images.
     """
+    if alpha.kernel is not None:
+        return bool(alpha.kernel(x, y))
     return bool(alpha.abs_eq(alpha.apply(x), alpha.apply(y)))

@@ -9,19 +9,28 @@ structural half of the invariant (equal child black heights) is enforced
 at construction, so an ill-heighted node cannot exist.
 
 ``elements`` reads the leaves left to right; that is the abstraction
-function, and every sequence operation is specified up to it.  ``append``
-concatenates two trees by descending the taller tree's spine to the
-height of the shorter, attaching, and rotating/recoloring upward; it
-behaves abstractly like a single node constructor over the two trees,
-and its cost, one unit per node built, stays within a constant multiple
-of the black-height difference.
+function, and every sequence operation is specified up to it.
+``same_elements`` is its kernel: it decides ``elements(x) ==
+elements(y)`` by walking the two trees against each other and skipping
+every subtree they share by identity, so comparing trees that share
+most of their structure costs the nodes where they differ, not their
+leaves.  ``append`` concatenates two trees by descending the taller
+tree's spine to the height of the shorter, attaching, and
+rotating/recoloring upward; it behaves abstractly like a single node
+constructor over the two trees, and its cost, one unit per node built,
+stays within a constant multiple of the black-height difference.
 
 ``validate`` audits a whole tree.  ``audit_concat`` audits one append in
-O(nodes built + depth): it walks the result against the two operands,
-skips every subtree shared by identity and checks only the nodes
-``append`` built, so it is exact for operands already known valid.  The
-``rbtree/invariants`` suite trusts it while its whole pool is known
-valid and falls back to ``validate`` and ``elements`` as the oracle.
+O(nodes built + depth): it is the same walk, the result against the two
+operands, plus the local invariant checks on each node of the result it
+splits, so it checks only the nodes ``append`` built and is exact for
+operands already known valid.  The ``rbtree/invariants`` suite trusts it
+while its whole pool is known valid and falls back to ``validate`` and
+``elements`` as the oracle.
+
+Trees are frozen, slotted records; a ``Node`` is built by a direct
+``__init__`` that runs ``__post_init__`` once to check child heights and
+cache ``black_height`` and ``size``.
 
 ``mapreduce`` folds a tree into any monoid by replacing constructors
 with the target's operations; ``reduce`` is the element fold with an
@@ -33,7 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Callable, Iterable, List, Tuple
+from typing import Any, Callable, Iterable, List, Optional, Tuple
 
 from .cost import Charged, Cost, ret
 from .harness import MonoidOps
@@ -57,7 +66,7 @@ class RBTree:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Empty(RBTree):
     """The empty sequence; black, height 0."""
 
@@ -66,7 +75,7 @@ class Empty(RBTree):
     size = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Leaf(RBTree):
     """A one-element sequence; black, height 0."""
 
@@ -77,9 +86,15 @@ class Leaf(RBTree):
     size = 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Node(RBTree):
-    """An internal node; children must agree on black height."""
+    """An internal node; children must agree on black height.
+
+    ``Node(color, left, right)`` stores its fields through the slot
+    descriptors and runs ``__post_init__`` once, which checks the child
+    heights and caches ``black_height`` and ``size``; neither cache takes
+    part in ``==``, ``hash`` or ``repr``.
+    """
 
     color: Color
     left: RBTree
@@ -87,16 +102,26 @@ class Node(RBTree):
     black_height: int = field(init=False, compare=False, repr=False)
     size: int = field(init=False, compare=False, repr=False)
 
-    def __post_init__(self) -> None:
-        lbh = self.left.black_height
-        if lbh != self.right.black_height:
-            raise ValueError(
-                f"child black heights differ: {lbh} vs {self.right.black_height}"
-            )
-        bump = 1 if self.color is Color.BLACK else 0
-        object.__setattr__(self, "black_height", lbh + bump)
-        object.__setattr__(self, "size", self.left.size + self.right.size)
+    def __init__(self, color: Color, left: RBTree, right: RBTree) -> None:
+        _set_color(self, color)
+        _set_left(self, left)
+        _set_right(self, right)
+        self.__post_init__()
 
+    def __post_init__(self) -> None:
+        left, right = self.left, self.right
+        lbh = left.black_height
+        if lbh != right.black_height:
+            raise ValueError(f"child black heights differ: {lbh} vs {right.black_height}")
+        _set_black_height(self, lbh + 1 if self.color is Color.BLACK else lbh)
+        _set_size(self, left.size + right.size)
+
+
+_set_color = Node.color.__set__
+_set_left = Node.left.__set__
+_set_right = Node.right.__set__
+_set_black_height = Node.black_height.__set__
+_set_size = Node.size.__set__
 
 EMPTY = Empty()
 
@@ -112,15 +137,73 @@ def elements(t: RBTree) -> Tuple[Any, ...]:
     pop, push, emit = stack.pop, stack.append, out.append
     while stack:
         node = pop()
-        while isinstance(node, Node):  # down the left spine, right children saved
+        while type(node) is Node:  # down the left spine, right children saved
             push(node.right)
             node = node.left
-        if isinstance(node, Leaf):
+        if type(node) is Leaf:
             emit(node.value)
     return tuple(out)
 
 
-ELEMENTS_ALPHA: AbstractionFn = AbstractionFn(apply=elements)
+def _same_leaves(mine: List[Any], theirs: List[Any],
+                 split_ok: Optional[Callable[[Node], bool]] = None) -> bool:
+    """Do the two stacks of trees hold the same leaves, read top first?
+
+    The stacks are consumed.  Anything that is neither a ``Leaf`` nor a
+    ``Node`` holds no leaves and is dropped, as ``elements`` drops it.  A
+    subtree on top of both stacks as the same object is popped from both
+    unread, because trees are frozen; two leaves must hold equal values,
+    by the test tuple equality uses (``x is y or x == y``); otherwise the
+    node with the larger cached size is split, a tie splitting ``mine``.
+    Sizes only steer the walk, so the answer is exact even when a cache
+    is stale.  Each node of ``mine`` that is split must first pass
+    ``split_ok`` when given.  The walk is iterative and costs time in the
+    nodes the two sides do not share, plus their depth.
+    """
+    mpop, mpush, tpop, tpush = mine.pop, mine.append, theirs.pop, theirs.append
+    while True:
+        while mine and type(mine[-1]) is not Node and type(mine[-1]) is not Leaf:
+            mpop()
+        while theirs and type(theirs[-1]) is not Node and type(theirs[-1]) is not Leaf:
+            tpop()
+        x = mine[-1] if mine else None  # None: this side holds no more leaves
+        y = theirs[-1] if theirs else None
+        if x is y:
+            if x is None:
+                return True
+            mpop()
+            tpop()
+        elif type(x) is Leaf and type(y) is Leaf:
+            xv, yv = x.value, y.value
+            if not (xv is yv or xv == yv):
+                return False
+            mpop()
+            tpop()
+        elif type(y) is Node and (type(x) is not Node or y.size > x.size):
+            tpop()
+            tpush(y.right)
+            tpush(y.left)
+        elif type(x) is Node:
+            if split_ok is not None and not split_ok(x):
+                return False
+            mpop()
+            mpush(x.right)
+            mpush(x.left)
+        else:  # a leaf against a side with no more leaves
+            return False
+
+
+def same_elements(x: RBTree, y: RBTree) -> bool:
+    """``elements(x) == elements(y)``, deciding on shared structure.
+
+    The kernel of ``ELEMENTS_ALPHA``: subtrees the two trees share by
+    identity are skipped, so comparing a tree with one built from it by a
+    few appends costs the nodes those appends built, not the leaves.
+    """
+    return _same_leaves([x], [y])
+
+
+ELEMENTS_ALPHA: AbstractionFn = AbstractionFn(apply=elements, kernel=same_elements)
 
 
 def validate(t: RBTree) -> None:
@@ -184,67 +267,38 @@ def audit_concat(t: RBTree, a: RBTree, b: RBTree) -> bool:
 
     For ``a`` and ``b`` already known valid, True means ``validate(t)``
     passes and ``elements(t) == elements(a) + elements(b)``, so
-    ``t.size == a.size + b.size``.  One iterative walk compares ``[t]``
-    against ``[a, b]``: a subtree shared by identity is popped from both
-    sides unread, because trees are frozen; two leaves must hold equal
-    values, by the test tuple equality uses; otherwise the node with the
-    larger cached size is split, sizes only steering the walk.  Every
-    node of ``t`` that is split passes ``_validate``'s local checks
-    against its children's cached fields, which are themselves checked
-    when split or shared with the audited inputs.  The walk costs
-    O(nodes built + depth) after ``append``.  A False answer asserts
-    nothing: it also covers a node over an ``Empty`` child, which
-    ``append`` never builds, so the caller re-audits with the full path.
+    ``t.size == a.size + b.size``.  This is ``_same_leaves`` on ``[t]``
+    against ``[a, b]``, with every node of ``t`` that it splits passing
+    ``_validate``'s local checks against its children's cached fields,
+    which are themselves checked when split or shared with the audited
+    inputs.  The walk costs O(nodes built + depth) after ``append``.  A
+    False answer asserts nothing: it also covers a non-tree root and a
+    node over an ``Empty`` child, which ``append`` never builds, so the
+    caller re-audits with the full path.
     """
-    if not isinstance(t, (Empty, Leaf, Node)):
+    if type(t) is not Node and type(t) is not Leaf and type(t) is not Empty:
         return False
-    mine: List[RBTree] = [t]
-    theirs: List[RBTree] = [b, a]
-    while True:
-        while mine and isinstance(mine[-1], Empty):
-            mine.pop()
-        while theirs and isinstance(theirs[-1], Empty):
-            theirs.pop()
-        if not mine or not theirs:
-            return not mine and not theirs
-        x, y = mine[-1], theirs[-1]
-        if x is y:
-            mine.pop()
-            theirs.pop()
-        elif isinstance(x, Leaf) and isinstance(y, Leaf):
-            if not (x.value is y.value or x.value == y.value):
-                return False
-            mine.pop()
-            theirs.pop()
-        elif isinstance(y, Node) and (isinstance(x, Leaf) or y.size > x.size):
-            theirs.pop()
-            theirs.append(y.right)
-            theirs.append(y.left)
-        elif isinstance(x, Node):
-            left, right = x.left, x.right
-            if not (isinstance(left, (Leaf, Node)) and isinstance(right, (Leaf, Node))):
-                return False
-            lbh, lsize = (0, 1) if isinstance(left, Leaf) else (left.black_height, left.size)
-            rbh, rsize = (0, 1) if isinstance(right, Leaf) else (right.black_height, right.size)
-            red = x.color is Color.RED
-            if (lbh != rbh or x.black_height != lbh + (0 if red else 1) or x.size != lsize + rsize
-                    or red and (left.color is not Color.BLACK or right.color is not Color.BLACK)):
-                return False
-            mine.pop()
-            mine.append(right)
-            mine.append(left)
-        else:
-            return False
+    return _same_leaves([t], [b, a], _node_ok)
 
 
-def root_color(t: RBTree) -> Color:
-    """Concrete-mode observer only.
-
-    The root color distinguishes trees with equal elements, so no
-    abstract client may depend on it; it exists for audits and for
-    balancing diagnostics.
-    """
-    return t.color
+def _node_ok(x: Node) -> bool:
+    """``_validate``'s local checks on ``x``, children read from their caches."""
+    left, right = x.left, x.right
+    if type(left) is Leaf:
+        lbh, lsize = 0, 1
+    elif type(left) is Node:
+        lbh, lsize = left.black_height, left.size
+    else:
+        return False
+    if type(right) is Leaf:
+        rbh, rsize = 0, 1
+    elif type(right) is Node:
+        rbh, rsize = right.black_height, right.size
+    else:
+        return False
+    red = x.color is Color.RED
+    return not (lbh != rbh or x.black_height != lbh + (0 if red else 1) or x.size != lsize + rsize
+                or red and (left.color is not Color.BLACK or right.color is not Color.BLACK))
 
 
 # -- append ----------------------------------------------------------------

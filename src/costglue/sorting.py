@@ -17,7 +17,8 @@ from __future__ import annotations
 from typing import Any, Callable, List, Sequence, Tuple
 
 from .cost import Charged, Cost, CostLike, as_cost
-from .rbtree import RBTree, elements, from_iterable
+from .phase import abstract_equal
+from .rbtree import ELEMENTS_ALPHA, RBTree, elements, from_iterable
 from .sealing import Sealed, seal
 
 
@@ -133,5 +134,5 @@ def sealed_sort_tree(
     return seal(
         Charged(inner.impl.cost, from_iterable(inner.impl.value)),
         Charged(inner.spec.cost, from_iterable(inner.spec.value)),
-        beh_eq=lambda x, y: elements(x) == elements(y),
+        beh_eq=lambda x, y: abstract_equal(x, y, ELEMENTS_ALPHA),
     )

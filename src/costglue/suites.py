@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import operator
 import random
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -597,7 +596,6 @@ def queues_noninterference(rb: ReportBuilder) -> None:
         "/demo",
         demo,
         impls,
-        operator.eq,
         lambda r: r.randrange(100),
         rb.iterations,
     )
@@ -606,7 +604,6 @@ def queues_noninterference(rb: ReportBuilder) -> None:
         "/qreverse",
         qreverse,
         impls,
-        operator.eq,
         lambda r: tuple(r.randrange(100) for _ in range(r.randrange(201))),
         rb.iterations,
     )

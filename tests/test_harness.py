@@ -268,7 +268,6 @@ class TestCheckNoninterference:
             check_noninterference,
             qreverse,
             [("list", LIST_QUEUE), ("batched", BATCHED_QUEUE)],
-            lambda a, b: a == b,
             self._items,
             20,
         )
@@ -282,7 +281,6 @@ class TestCheckNoninterference:
             check_noninterference,
             qreverse,
             [("list", LIST_QUEUE), ("stack", STACK_IMPL)],
-            lambda a, b: a == b,
             self._items,
             10,
         )
@@ -294,7 +292,6 @@ class TestCheckNoninterference:
             check_noninterference,
             lambda impl, e: qreverse(impl, [e]),
             [("a", LIST_QUEUE), ("b", BATCHED_QUEUE), ("c", LIST_QUEUE)],
-            lambda a, b: a == b,
             lambda rng: rng.randrange(9),
             4,
         )
@@ -302,7 +299,7 @@ class TestCheckNoninterference:
 
     def test_needs_two_impls(self) -> None:
         with pytest.raises(ValueError):
-            sweep(check_noninterference, qreverse, [("only", LIST_QUEUE)], lambda a, b: a == b, self._items, 1)
+            sweep(check_noninterference, qreverse, [("only", LIST_QUEUE)], self._items, 1)
 
 
 class TestCheckAbstractMonoid:
@@ -332,6 +329,23 @@ class TestCheckAbstractMonoid:
         )
         assert not rep.passed
         assert any(f.law == "monoid/left-unit" for f in rep.failures)
+
+    def test_kernel_reads_images_only_on_failure(self) -> None:
+        images = []
+
+        def counted(x):
+            images.append(x)
+            return x
+
+        alpha = AbstractionFn(apply=counted, kernel=lambda x, y: x == y)
+        draw = lambda rng: tuple(rng.randrange(5) for _ in range(rng.randrange(4)))  # noqa: E731
+        rep = sweep(check_abstract_monoid, (), TUPLE_OPS.append, alpha, draw, 30, seed=1)
+        assert rep.passed and rep.cases == 90 and images == []
+        first = lambda a, b: ret(a)  # noqa: E731
+        with_kernel = sweep(check_abstract_monoid, (), first, alpha, draw, 10, seed=1)
+        assert not with_kernel.passed and images
+        # Failure records read exactly as when the images are compared.
+        assert with_kernel == sweep(check_abstract_monoid, (), first, IDENTITY, draw, 10, seed=1)
 
 
 class TestCheckAbstractHom:

@@ -112,6 +112,20 @@ class TestAbstractEqual:
         if abstract_equal(a, b, BATCHED_ALPHA) and abstract_equal(b, c, BATCHED_ALPHA):
             assert abstract_equal(a, c, BATCHED_ALPHA)
 
+    def test_kernel_decides_without_images(self) -> None:
+        def no_image(x):
+            raise AssertionError("the kernel must decide")
+
+        alpha = AbstractionFn(apply=no_image, kernel=lambda x, y: x.lower() == y.lower())
+        assert abstract_equal("AB", "ab", alpha)
+        assert not abstract_equal("AB", "ac", alpha)
+
+    def test_without_a_kernel_the_images_are_compared(self) -> None:
+        alpha = AbstractionFn(apply=len, abs_eq=lambda a, b: a % 2 == b % 2)
+        assert alpha.kernel is None
+        assert abstract_equal("abc", "a", alpha)
+        assert not abstract_equal("ab", "a", alpha)
+
 
 class TestSpecMember:
     def test_membership_is_phase_projected(self) -> None:

@@ -26,10 +26,11 @@ from costglue.rbtree import (
     length_fast,
     mapreduce,
     reduce,
-    root_color,
+    same_elements,
     singleton,
     validate,
 )
+from costglue.phase import abstract_equal
 
 elems = st.integers(min_value=0, max_value=999)
 
@@ -261,6 +262,10 @@ class TestAuditConcat:
         padded = Node(Color.BLACK, Leaf(1), Node(Color.RED, Leaf(2), EMPTY))
         assert not audit_concat(padded, a, b)
         validate(padded)
+        # A leafless node left over after the operands' leaves is declined too.
+        trailing = Node(Color.BLACK, Leaf(1), Node(Color.RED, EMPTY, EMPTY))
+        assert elements(trailing) == elements(a)
+        assert not audit_concat(trailing, a, EMPTY)
 
     def test_empty_operands(self) -> None:
         t = from_iterable(range(4))
@@ -288,6 +293,122 @@ class TestAuditConcat:
         # Operands are trusted, so the walk descends the chain without
         # checking it, iteratively, and the valid result passes.
         assert audit_concat(balanced, chain, EMPTY)
+
+
+def shared_pairs(seed: int, rounds: int) -> list[tuple[RBTree, RBTree]]:
+    """Pairs of pool trees that share subtrees, equal and unequal in elements."""
+    rng = random.Random(seed)
+    pool = [EMPTY] + [from_iterable(range(n)) for n in (1, 2, 3, 5, 8, 13)]
+    pairs = []
+    for _ in range(rounds):
+        a, b, c = rng.choice(pool), rng.choice(pool), rng.choice(pool)
+        left = append(append(a, b).value, c).value
+        right = append(a, append(b, c).value).value
+        pairs += [(left, right), (append(a, b).value, append(b, a).value), (a, b),
+                  (left, append(a, c).value), (append(a, b).value, a), (a, append(a, b).value)]
+        pool.append(left if left.size <= 600 else singleton(rng.randrange(5)))
+        if len(pool) > 48:
+            pool.pop(rng.randrange(len(pool)))
+    return pairs
+
+
+class TestSameElements:
+    """The identity-skipping walk decides ``elements(x) == elements(y)`` exactly."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_agrees_with_elements_on_pool_pairs(self, seed: int) -> None:
+        pairs = shared_pairs(seed, 300)
+        verdicts = [same_elements(x, y) for x, y in pairs]
+        assert verdicts == [elements(x) == elements(y) for x, y in pairs]
+        assert True in verdicts and False in verdicts
+
+    def test_is_the_kernel_of_elements_alpha(self) -> None:
+        assert ELEMENTS_ALPHA.kernel is same_elements
+        x, y = from_iterable(range(3)), append(Leaf(0), from_iterable((1, 2))).value
+        assert x != y and abstract_equal(x, y, ELEMENTS_ALPHA)
+        assert not abstract_equal(x, from_iterable(range(1, 4)), ELEMENTS_ALPHA)
+
+    def test_equal_elements_in_different_shapes(self) -> None:
+        shapes = [from_iterable(range(40))] + [
+            append(from_iterable(range(k)), from_iterable(range(k, 40))).value for k in (1, 7, 20, 33)
+        ]
+        for x in shapes:
+            for y in shapes:
+                assert same_elements(x, y)
+            assert not same_elements(x, append(x, Leaf(0)).value)
+            assert not same_elements(x, from_iterable(range(1, 41)))
+
+    def test_nan_leaves_compare_like_tuples(self) -> None:
+        nan = float("nan")
+        shared = Leaf(nan)
+        cases = [
+            (shared, shared),  # the same leaf
+            (Leaf(nan), Leaf(nan)),  # two leaves over the same value
+            (Leaf(nan), Leaf(float("nan"))),  # two distinct NaNs
+            (Node(Color.BLACK, shared, Leaf(1)), Node(Color.BLACK, Leaf(nan), Leaf(1))),
+            (Node(Color.BLACK, Leaf(nan), Leaf(1)), Node(Color.BLACK, Leaf(float("nan")), Leaf(1))),
+        ]
+        for x, y in cases:
+            assert same_elements(x, y) == (elements(x) == elements(y))
+        assert [same_elements(x, y) for x, y in cases] == [True, True, False, True, False]
+
+    @pytest.mark.parametrize("side", ["x", "y"])
+    def test_stale_sizes_only_steer(self, side: str) -> None:
+        a, b = from_iterable(range(6)), from_iterable(range(6, 9))
+        t = append(a, b).value
+        u = append(from_iterable(range(2)), from_iterable(range(2, 9))).value
+        assert isinstance(t, Node) and isinstance(t.left, Node)
+        for size in (0, 1, 100):
+            stale_t = Node(t.color, stale(t.left, size=size), t.right)
+            root = stale(t, size=size)
+            for broken in (stale_t, root):
+                x, y = (broken, u) if side == "x" else (u, broken)
+                assert same_elements(x, y)
+                assert not same_elements(x, append(y, Leaf(9)).value)
+
+    def test_empty_and_non_tree_children_hold_no_leaves(self) -> None:
+        padded = Node(Color.BLACK, Leaf(1), Node(Color.RED, Leaf(2), EMPTY))
+        odd = [
+            padded,
+            Node(Color.RED, EMPTY, EMPTY),
+            forge(Color.BLACK, Leaf(1), 2, 1, 2),
+            forge(Color.BLACK, None, Leaf(2), 1, 2),
+            forge(Color.BLACK, "x", forge(Color.RED, EMPTY, Leaf(3), 0, 1), 1, 2),
+        ]
+        plain = [EMPTY, Leaf(1), Leaf(2), from_iterable((1, 2)), from_iterable((2, 3))]
+        for x in odd + plain:
+            for y in odd + plain:
+                assert same_elements(x, y) == (elements(x) == elements(y)), (x, y)
+        assert same_elements(padded, from_iterable((1, 2)))
+        assert same_elements(EMPTY, Node(Color.RED, EMPTY, EMPTY))
+
+    def test_heavily_shared_operands(self) -> None:
+        big = from_iterable(range(3000))
+        grown = big
+        for i in range(20):
+            grown = append(grown, Leaf(i)).value if i % 2 else append(Leaf(i), grown).value
+        same = big
+        for i in range(20):
+            same = append(same, Leaf(i)).value if i % 2 else append(Leaf(i), same).value
+        assert grown is not same and same_elements(grown, same)
+        assert elements(grown) == elements(same)
+        assert not same_elements(grown, append(same, Leaf(0)).value)
+
+    def test_one_operand_inside_the_other(self) -> None:
+        t = from_iterable(range(100))
+        assert isinstance(t, Node)
+        for sub in (t.left, t.right, t.left.left):
+            assert not same_elements(t, sub) and not same_elements(sub, t)
+        assert same_elements(append(t.left, t.right).value, t)
+        assert same_elements(t, Node(t.color, t.left, t.right))
+
+    def test_deep_red_chain_does_not_recurse(self) -> None:
+        n = 5000
+        chain = red_chain(n)
+        assert same_elements(chain, from_iterable(range(n)))
+        assert same_elements(from_iterable(range(n)), chain)
+        assert not same_elements(chain, from_iterable(range(1, n + 1)))
+        assert same_elements(chain, red_chain(n))
 
 
 class TestValidate:
@@ -390,10 +511,6 @@ class TestObservers:
     def test_length_fast_matches_elements(self, xs: tuple[int, ...]) -> None:
         t = from_iterable(xs)
         assert length_fast(t) == len(elements(t)) == len(xs)
-
-    def test_root_color_is_representation_detail(self) -> None:
-        assert root_color(EMPTY) is Color.BLACK
-        assert root_color(singleton(1)) is Color.BLACK
 
     def test_elements_alpha(self) -> None:
         assert ELEMENTS_ALPHA.apply(from_iterable((4, 5))) == (4, 5)

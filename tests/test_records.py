@@ -11,6 +11,7 @@ import pytest
 from costglue import cost, rbtree, sealing
 from costglue.cost import MAX_COST, ONE, ZERO, Charged, Cost, bind, charge, fmap, ret
 from costglue.queues import BatchedQueueState, ListQueueState, batched_enqueue, list_enqueue
+from costglue.rbtree import EMPTY, Color, Empty, Leaf, Node
 from costglue.sealing import BoundViolation, Sealed, seal
 
 
@@ -21,6 +22,9 @@ def records() -> list:
         seal(Charged(Cost(1), 2), Charged(Cost(3), 2)),
         ListQueueState((1, 2)),
         BatchedQueueState((3,), (1, 2)),
+        EMPTY,
+        Leaf(1),
+        Node(Color.RED, Leaf(1), Leaf(2)),
     ]
 
 
@@ -140,3 +144,43 @@ def test_post_init_runs_once_per_construction() -> None:
             rbtree.Node(rbtree.Color.RED, rbtree.Leaf(1), rbtree.Leaf(2))  # one Node
 
     assert post_init_calls(build) == {"Cost": 2 * n, "Charged": 7 * n, "Sealed": n, "Node": n}
+
+
+def test_tree_repr_equality_and_hash_leave_the_caches_out() -> None:
+    left, right = Leaf(1), Node(Color.RED, Leaf(2), Leaf(3))
+    node = Node(Color.BLACK, left, right)
+    assert repr(EMPTY) == "Empty()" and repr(left) == "Leaf(value=1)"
+    assert repr(node) == (
+        "Node(color=<Color.BLACK: 'black'>, left=Leaf(value=1), right=Node(color=<Color.RED: 'red'>, "
+        "left=Leaf(value=2), right=Leaf(value=3)))"
+    )
+    assert (node.black_height, node.size, right.black_height, right.size) == (1, 3, 0, 2)
+    assert Empty() == EMPTY and hash(EMPTY) == hash(())
+    assert Leaf(1) == left != Leaf(2) and hash(left) == hash((1,))
+    assert Node(color=Color.BLACK, left=Leaf(1), right=right) == node
+    assert hash(node) == hash((Color.BLACK, left, right))
+    stale = Node(Color.BLACK, left, right)
+    object.__setattr__(stale, "size", 99)
+    assert stale == node and hash(stale) == hash(node) and repr(stale) == repr(node)
+    assert [f.name for f in dataclasses.fields(Node) if f.compare] == ["color", "left", "right"]
+
+
+def test_unequal_child_black_heights_still_raise() -> None:
+    tall = Node(Color.BLACK, Leaf(1), Leaf(2))
+    with pytest.raises(ValueError, match="child black heights differ: 1 vs 0"):
+        Node(Color.RED, tall, Leaf(3))
+    with pytest.raises(ValueError, match="child black heights differ: 0 vs 1"):
+        Node(Color.BLACK, Leaf(3), tall)
+
+
+def test_one_node_post_init_per_node_append_builds() -> None:
+    trees = [rbtree.from_iterable(range(n)) for n in (0, 1, 3, 8, 40, 300)]
+    built = 0
+
+    def build() -> None:
+        nonlocal built
+        for a in trees:
+            for b in trees:
+                built += rbtree.append(a, b).cost.value
+
+    assert post_init_calls(build)["Node"] == built > 0

@@ -102,8 +102,22 @@ def test_tree_invariants_audit_only_the_nodes_each_append_built() -> None:
     validates, reads = _calls(run, rbtree.validate, rbtree.elements)
     assert rep is not None and rep.passed
     assert validates == 7  # the initial pool, once
-    # Six reads per sampled monoid triple, two per abstract-client probe.
-    assert reads <= 8 * (iterations // 10)
+    # Two reads per abstract-client probe; the monoid laws read none.
+    assert reads <= 2 * (iterations // 10)
+
+
+def test_tree_invariants_read_elements_only_for_the_abstract_clients() -> None:
+    iterations = 300
+    profile = cProfile.Profile()
+    rep = profile.runcall(REGISTRY["rbtree/invariants"], seed=0, iterations=iterations, mode=EvaluationMode.FULL)
+    assert rep.passed
+    code = rbtree.elements.__code__
+    key = (code.co_filename, code.co_firstlineno, code.co_name)
+    _, calls, _, _, callers = pstats.Stats(profile).stats[key]
+    # Every read comes from the "elements" client lambda, once per probe
+    # tree; none from the harness's monoid laws.
+    assert {(file, name) for file, _, name in callers} == {(suites.__file__, "<lambda>")}
+    assert calls == 2 * (iterations // 10)
 
 
 @pytest.mark.parametrize("mode", ALL_MODES)
