@@ -430,21 +430,40 @@ def check_universal_property(
     On every sampled carrier value, ``mapreduce`` into the target must
     agree with the list fold over the value's elements; any additional
     homomorphisms supplied must agree with it too (uniqueness, at the
-    scale of the sweep).
+    scale of the sweep).  When ``rb.check_cost``, the fold's reported
+    cost must also equal the sum of the costs the target's ``append``
+    returned to it, metered by wrapping that ``append``.
     """
     rng = rb.rng(stream)
+    metered = 0
+
+    def metered_append(x: Any, y: Any) -> Charged[Any]:
+        nonlocal metered
+        out = target.ops.append(x, y)
+        metered += out.cost.value
+        return out
+
+    ops = MonoidOps(target.ops.empty, metered_append, target.ops.singleton)
     for _ in range(n):
         x = inputs(rng)
         if not rb.check_beh:
             rb.cases += 1 + len(extra_homs)
             continue
         folded = fold_elements(target.ops, seq.alpha.apply(x))
-        reduced = seq.mapreduce(x, target.ops).value
+        metered = 0
+        out = seq.mapreduce(x, ops)
+        reduced = out.value
         rb.case(
             reduced == folded,
             f"universal/{target.name}/agrees-with-fold",
             lambda: (render(seq.alpha.apply(x)), render(folded), render(reduced)),
         )
+        if rb.check_cost:
+            rb.case(
+                out.cost.value == metered,
+                f"universal/{target.name}/cost-metered",
+                lambda: (render(seq.alpha.apply(x)), metered, out.cost.value),
+            )
         for hom_name, hom in extra_homs:
             other = hom(x).value
             rb.case(

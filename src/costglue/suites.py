@@ -644,12 +644,12 @@ MAX_TARGET = TargetMonoid(
     ops=MonoidOps(empty=0, append=lambda x, y: Charged(Cost(1), max(x, y)), singleton=lambda e: e),
 )
 
-# ``append`` is looked up when called, so a replacement installed in this
-# module reaches the sequence's monoid operations too.
+# ``append`` and ``mapreduce`` are looked up when called, so a replacement
+# installed in this module reaches the sequence's operations too.
 TREE_SEQUENCE = SequenceImpl(
     name="rbtree",
     ops=MonoidOps(empty=EMPTY, append=lambda a, b: append(a, b), singleton=singleton),
-    mapreduce=mapreduce,
+    mapreduce=lambda t, ops: mapreduce(t, ops),
     alpha=ELEMENTS_ALPHA,
 )
 
@@ -754,8 +754,9 @@ def rbtree_universal(rb: ReportBuilder) -> None:
     """The structural fold is the unique homomorphism out of the sequence.
 
     ``mapreduce`` into sum, list, and max targets must agree with the
-    canonical list fold over the elements; independent homomorphisms
-    (cached length, direct elements) must agree with it on samples.
+    canonical list fold over the elements, and report as its cost the sum
+    of the target appends it made; independent homomorphisms (cached
+    length, direct elements) must agree with it on samples.
     """
     pool = _TreePool(rb.rng(), cap=512)
     for _ in range(min(rb.iterations, 200)):

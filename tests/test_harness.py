@@ -419,6 +419,26 @@ class TestUniversalProperty:
         assert not rep.passed
         assert any("unique/imposter" in f.law for f in rep.failures)
 
+    def test_reported_cost_is_metered(self) -> None:
+        draw = lambda rng: tuple(rng.randrange(9) for _ in range(rng.randrange(6)))  # noqa: E731
+        lawful = sweep(check_universal_property, self.TUPLE_SEQ, TargetMonoid("sum", SUM_OPS), draw, 20, seed=3)
+        assert lawful.passed and lawful.cases == 40  # agrees-with-fold and cost-metered
+        overcharging = SequenceImpl(
+            name="tuple",
+            ops=TUPLE_OPS,
+            mapreduce=lambda t, ops: charge(int(len(t) > 2), fold_and_charge(t, ops)),
+            alpha=IDENTITY,
+        )
+        rep = sweep(check_universal_property, overcharging, TargetMonoid("sum", SUM_OPS), draw, 20, seed=3)
+        assert {f.law for f in rep.failures} == {"universal/sum/cost-metered"}
+        failure = rep.failures[0]
+        assert int(failure.actual) == int(failure.expected) + 1
+        # Behavioral mode erases cost, so it neither meters nor counts.
+        for mode in (EvaluationMode.BEHAVIORAL, EvaluationMode.CONCRETE):
+            quiet = sweep(check_universal_property, overcharging, TargetMonoid("sum", SUM_OPS), draw, 20,
+                          seed=3, mode=mode)
+            assert quiet.passed and quiet.cases == 20
+
 
 def fold_and_charge(t, ops: MonoidOps) -> Charged:
     acc = ops.empty

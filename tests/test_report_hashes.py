@@ -58,8 +58,8 @@ PINNED = {
         "concrete": "d982341d937faca898fb766cb89b05c5e52cc444",
     },
     "rbtree/universal": {
-        "full": "9a186cc7c33ae6d98d2ae9e9f1d76e0f76950629",
-        "abstract": "6fe8c9f8607d72a8eccf8865aa579a7482665d9f",
+        "full": "a97d7ae78c6a4c93d4bd7dce2bbd024b852e3752",
+        "abstract": "ecfc75505dbcb4c37a47c8262df27e2f0db12fef",
         "behavioral": "125dada2f661797f9ed93405fefbc6e90bf17e99",
         "concrete": "cc768b8813c9f2ff109d8d4ccff957ea84d0f0cd",
     },
