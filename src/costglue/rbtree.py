@@ -145,6 +145,10 @@ def elements(t: RBTree) -> Tuple[Any, ...]:
     return tuple(out)
 
 
+# The trees that hold leaves; the walk drops anything else, as ``elements`` does.
+_TREE_NODES = (Leaf, Node)
+
+
 def _same_leaves(mine: List[Any], theirs: List[Any],
                  split_ok: Optional[Callable[[Node], bool]] = None) -> bool:
     """Do the two stacks of trees hold the same leaves, read top first?
@@ -162,9 +166,9 @@ def _same_leaves(mine: List[Any], theirs: List[Any],
     """
     mpop, mpush, tpop, tpush = mine.pop, mine.append, theirs.pop, theirs.append
     while True:
-        while mine and type(mine[-1]) is not Node and type(mine[-1]) is not Leaf:
+        while mine and type(mine[-1]) not in _TREE_NODES:
             mpop()
-        while theirs and type(theirs[-1]) is not Node and type(theirs[-1]) is not Leaf:
+        while theirs and type(theirs[-1]) not in _TREE_NODES:
             tpop()
         x = mine[-1] if mine else None  # None: this side holds no more leaves
         y = theirs[-1] if theirs else None
@@ -284,21 +288,13 @@ def audit_concat(t: RBTree, a: RBTree, b: RBTree) -> bool:
 def _node_ok(x: Node) -> bool:
     """``_validate``'s local checks on ``x``, children read from their caches."""
     left, right = x.left, x.right
-    if type(left) is Leaf:
-        lbh, lsize = 0, 1
-    elif type(left) is Node:
-        lbh, lsize = left.black_height, left.size
-    else:
+    if type(left) not in _TREE_NODES or type(right) not in _TREE_NODES:
         return False
-    if type(right) is Leaf:
-        rbh, rsize = 0, 1
-    elif type(right) is Node:
-        rbh, rsize = right.black_height, right.size
-    else:
-        return False
+    lbh = left.black_height
     red = x.color is Color.RED
-    return not (lbh != rbh or x.black_height != lbh + (0 if red else 1) or x.size != lsize + rsize
-                or red and (left.color is not Color.BLACK or right.color is not Color.BLACK))
+    return (lbh == right.black_height and x.black_height == (lbh if red else lbh + 1)
+            and x.size == left.size + right.size
+            and not (red and (left.color is not Color.BLACK or right.color is not Color.BLACK)))
 
 
 # -- append ----------------------------------------------------------------
