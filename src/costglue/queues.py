@@ -173,7 +173,6 @@ class TraceRun:
     """Everything observable from running one trace against one implementation."""
 
     outputs: Tuple[Any, ...]
-    total_cost: int
     final_state: Any
     step_costs: Tuple[Tuple[str, int], ...]
 
@@ -184,7 +183,6 @@ def run_trace(impl: QueueImpl, ops: Sequence[Tuple[str, Tuple[Any, ...]]],
     state = impl.empty()
     outputs = []
     steps = []
-    total = 0
     for name, args in ops:
         if name == "enqueue":
             (e,) = args
@@ -197,8 +195,7 @@ def run_trace(impl: QueueImpl, ops: Sequence[Tuple[str, Tuple[Any, ...]]],
         else:
             raise ValueError(f"unknown queue operation: {name!r}")
         steps.append((name, step.cost.value))
-        total += step.cost.value
-    return TraceRun(tuple(outputs), total, state, tuple(steps))
+    return TraceRun(tuple(outputs), state, tuple(steps))
 
 
 def trace_observation(impl: QueueImpl, ops: Sequence[Tuple[str, Tuple[Any, ...]]]) -> Tuple[Any, ...]:

@@ -7,9 +7,14 @@ number of comparisons performed; each comes with a closed-form budget
 run with its budget so the bound is checked on every call.
 
 Costs count comparisons only; list bookkeeping is free.  Comparison
-order is fixed (insertion scans the sorted prefix from its right end
-with early exit; merge compares pairwise front elements), so counts are
-deterministic functions of the input.
+order is fixed (insertion scans the sorted prefix from its largest
+element down with early exit; merge compares pairwise front elements),
+so counts are deterministic functions of the input.  ``isort`` keeps
+its prefix in descending order so that this scan is a forward loop, and
+``msort`` sorts index ranges of one list.  Either way the ``<`` calls
+and their order are those of the textbook formulations (an ascending
+prefix scanned right to left, a merge of slices), which
+``tests/test_sorting.py`` keeps as its reference.
 """
 
 from __future__ import annotations
@@ -30,23 +35,28 @@ def sort_spec(items: Sequence[Any]) -> Tuple[Any, ...]:
 def isort(items: Sequence[Any]) -> Charged[Tuple[Any, ...]]:
     """Insertion sort; cost is the number of comparisons.
 
-    Each element is inserted into the sorted prefix by scanning from the
-    right and stopping at the first element not greater than it, so
-    already-sorted input costs one comparison per insertion and reversed
-    input costs the full quadratic budget.
+    Each element is inserted into the sorted prefix by scanning from its
+    largest element down and stopping at the first element not greater
+    than it, so already-sorted input costs one comparison per insertion
+    and reversed input costs n(n-1)/2 against the budget of n^2.  The
+    prefix is kept in descending order, so the scan is a forward loop,
+    and reversed once at the end; the comparisons and their order are
+    those of a right-to-left scan of an ascending prefix.
     """
-    out: List[Any] = []
+    desc: List[Any] = []
     comparisons = 0
     for e in items:
-        i = len(out)
-        while i > 0:
-            comparisons += 1
-            if e < out[i - 1]:
-                i -= 1
+        k = 0
+        for x in desc:
+            if e < x:
+                k += 1
             else:
+                comparisons += 1
                 break
-        out.insert(i, e)
-    return Charged(Cost(comparisons), tuple(out))
+        comparisons += k
+        desc.insert(k, e)
+    desc.reverse()
+    return Charged(Cost(comparisons), tuple(desc))
 
 
 def isort_bound(n: int) -> int:
@@ -55,39 +65,61 @@ def isort_bound(n: int) -> int:
 
 
 def _merge(a: List[Any], b: List[Any]) -> Tuple[List[Any], int]:
+    """Merge two sorted runs, taking from ``a`` on ties; return the comparisons made.
+
+    Each comparison moves one element out of a run, so the count is the
+    number of elements taken when the first run runs out.
+    """
     out: List[Any] = []
     i = j = 0
-    comparisons = 0
-    while i < len(a) and j < len(b):
-        comparisons += 1
-        if b[j] < a[i]:
-            out.append(b[j])
-            j += 1
-        else:
-            out.append(a[i])
-            i += 1
-    out.extend(a[i:])
-    out.extend(b[j:])
-    return out, comparisons
+    na, nb = len(a), len(b)
+    if na and nb:
+        x, y = a[0], b[0]
+        while True:
+            if y < x:
+                out.append(y)
+                j += 1
+                if j == nb:
+                    break
+                y = b[j]
+            else:
+                out.append(x)
+                i += 1
+                if i == na:
+                    break
+                x = a[i]
+    out += a[i:]
+    out += b[j:]
+    return out, i + j
+
+
+def _msort_range(seq: List[Any], lo: int, hi: int) -> Tuple[List[Any], int]:
+    """Sort the non-empty range ``seq[lo:hi]``; return it with the comparisons made."""
+    if hi - lo == 1:
+        return [seq[lo]], 0
+    if hi - lo == 2:
+        x, y = seq[lo], seq[lo + 1]
+        return ([y, x] if y < x else [x, y]), 1
+    mid = (lo + hi) // 2
+    left, cl = _msort_range(seq, lo, mid)
+    right, cr = _msort_range(seq, mid, hi)
+    merged, cm = _merge(left, right)
+    return merged, cl + cr + cm
 
 
 def msort(items: Sequence[Any]) -> Charged[Tuple[Any, ...]]:
     """Merge sort splitting at the floor midpoint; cost counts comparisons.
 
     Merging charges one unit per comparison and takes from the left run
-    on ties, which keeps the sort stable.
+    on ties, which keeps the sort stable.  A two-element range costs its
+    one comparison inline, as merging two singletons would.  The
+    recursion is a module-level function over index ranges, so a run
+    leaves no closure cycle for the garbage collector.
     """
-
-    def go(seq: List[Any]) -> Tuple[List[Any], int]:
-        if len(seq) <= 1:
-            return seq, 0
-        mid = len(seq) // 2
-        left, cl = go(seq[:mid])
-        right, cr = go(seq[mid:])
-        merged, cm = _merge(left, right)
-        return merged, cl + cr + cm
-
-    result, comparisons = go(list(items))
+    seq = list(items)
+    if not seq:
+        return Charged(Cost(0), ())
+    result, comparisons = _msort_range(seq, 0, len(seq))
     return Charged(Cost(comparisons), tuple(result))
 
 

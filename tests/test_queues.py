@@ -126,7 +126,7 @@ class TestDifferentialTraces:
         # costs at most two units per enqueue: one to cons, one to flip.
         run = run_trace(BATCHED_QUEUE, trace)
         enqueues = sum(1 for op, _ in trace if op == "enqueue")
-        assert run.total_cost <= 2 * enqueues
+        assert sum(c for _, c in run.step_costs) <= 2 * enqueues
 
 
 class TestSealedDequeue:

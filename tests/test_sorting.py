@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 from dataclasses import dataclass, field
 
 import pytest
@@ -138,3 +139,96 @@ class TestSealedSort:
         cert = sealed_sort_tree(isort, isort_bound, from_iterable((3, 1, 2)))
         assert elements(cert.impl.value) == (1, 2, 3)
         assert elements(cert.spec.value) == (1, 2, 3)
+
+
+# The sorts as they were before the descending-buffer insertion sort and
+# the index-range merge sort, kept verbatim as the reference for the
+# comparisons the instrumented sorts must make.
+
+def reference_isort(items):
+    out = []
+    comparisons = 0
+    for e in items:
+        i = len(out)
+        while i > 0:
+            comparisons += 1
+            if e < out[i - 1]:
+                i -= 1
+            else:
+                break
+        out.insert(i, e)
+    return Charged(Cost(comparisons), tuple(out))
+
+
+def reference_merge(a, b):
+    out = []
+    i = j = 0
+    comparisons = 0
+    while i < len(a) and j < len(b):
+        comparisons += 1
+        if b[j] < a[i]:
+            out.append(b[j])
+            j += 1
+        else:
+            out.append(a[i])
+            i += 1
+    out.extend(a[i:])
+    out.extend(b[j:])
+    return out, comparisons
+
+
+def reference_msort(items):
+    def go(seq):
+        if len(seq) <= 1:
+            return seq, 0
+        mid = len(seq) // 2
+        left, cl = go(seq[:mid])
+        right, cr = go(seq[mid:])
+        merged, cm = reference_merge(left, right)
+        return merged, cl + cr + cm
+
+    result, comparisons = go(list(items))
+    return Charged(Cost(comparisons), tuple(result))
+
+
+class Logged:
+    """Orders by key; each ``<`` appends the tags of its operands to a shared log."""
+
+    __slots__ = ("key", "tag", "log")
+
+    def __init__(self, key: int, tag: int, log: list) -> None:
+        self.key = key
+        self.tag = tag
+        self.log = log
+
+    def __lt__(self, other: "Logged") -> bool:
+        self.log.append((self.tag, other.tag))
+        return self.key < other.key
+
+
+def trace_inputs() -> list:
+    """Every permutation up to n=7, short lists with heavy ties, and long lists."""
+    rng = random.Random("test_sorting/trace")
+    inputs = [list(p) for n in range(8) for p in itertools.permutations(range(n))]
+    inputs += [[rng.randrange(5) for _ in range(rng.randrange(13))] for _ in range(300)]
+    inputs += [[rng.randrange(1000) for _ in range(rng.randrange(256, 513))] for _ in range(20)]
+    return inputs
+
+
+def comparison_trace(sort, keys):
+    """The ``<`` calls ``sort`` makes on ``keys`` as (tag, tag) pairs, its cost and output tags."""
+    log: list = []
+    out = sort(tuple(Logged(k, i, log) for i, k in enumerate(keys)))
+    return log, out.cost.value, tuple(x.tag for x in out.value)
+
+
+@pytest.mark.parametrize(
+    "sort, reference",
+    [(isort, reference_isort), (msort, reference_msort)],
+    ids=["isort", "msort"],
+)
+def test_same_comparisons_as_the_reference(sort, reference) -> None:
+    for keys in trace_inputs():
+        log, cost, tags = comparison_trace(sort, keys)
+        assert (log, cost, tags) == comparison_trace(reference, keys), keys
+        assert cost == len(log)
