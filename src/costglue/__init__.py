@@ -7,7 +7,7 @@ ships a differential property harness plus reference case studies
 (batched queues, red-black tree sequences, comparison-counting sorts).
 """
 
-from .cost import MAX_COST, Charged, Cost, ZERO, as_cost, bind, charge, erase, fmap, leq, ret
+from .cost import MAX_COST, Charged, Cost, ZERO, as_cost, bind, charge, erase, leq, ret
 from .phase import (
     AbstractionFn,
     CoherenceError,
@@ -16,7 +16,6 @@ from .phase import (
     abstract_equal,
     fracture,
     glue,
-    project,
     spec_member,
 )
 from .sealing import (
@@ -41,7 +40,6 @@ __all__ = [
     "bind",
     "charge",
     "erase",
-    "fmap",
     "leq",
     "ret",
     "AbstractionFn",
@@ -51,7 +49,6 @@ __all__ = [
     "abstract_equal",
     "fracture",
     "glue",
-    "project",
     "spec_member",
     "BoundViolation",
     "Sealed",

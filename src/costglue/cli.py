@@ -12,6 +12,7 @@ usage errors, an unwritable report path among them.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -34,19 +35,11 @@ class SuiteConfig:
     seed: int = 0
     iterations: int = 1000
     mode: EvaluationMode = EvaluationMode.FULL
-    report_path: Optional[str] = None
-    format: str = "json"
 
 
 def run_suite(config: SuiteConfig) -> Report:
     """Execute the configured suite; deterministic in the configuration."""
-    try:
-        fn = REGISTRY[config.suite]
-    except KeyError:
-        raise KeyError(
-            f"unknown suite {config.suite!r}; available: {', '.join(sorted(REGISTRY))}"
-        ) from None
-    return fn(config.seed, config.iterations, config.mode)
+    return REGISTRY[config.suite](config.seed, config.iterations, config.mode)
 
 
 def emit_json(report: Report) -> str:
@@ -86,26 +79,27 @@ def emit_markdown(report: Report) -> str:
     return "\n".join(lines)
 
 
-def emit_report(report: Report, fmt: str) -> str:
-    if fmt == "json":
-        return emit_json(report)
-    if fmt == "md":
-        return emit_markdown(report)
-    raise ValueError(f"unknown report format {fmt!r}")
+# The report formats, by the name ``--format`` takes.
+EMITTERS = {"json": emit_json, "md": emit_markdown}
 
 
 class ReportFile:
     """A report that replaces ``path`` only once it is written whole.
 
-    The text goes to a temporary file beside ``path``, made when the
-    ``ReportFile`` is, and ``commit`` renames it over ``path``; until
-    then ``path`` keeps what it held.  An existing ``path`` is opened
-    for appending, which changes nothing, so a directory or a read-only
-    file fails here too.  ``discard`` removes an uncommitted temporary.
+    ``path`` is resolved through symbolic links, so a link keeps naming
+    the report.  The text goes to a temporary file beside the resolved
+    path, made when the ``ReportFile`` is, and ``commit`` renames it
+    over that path; until then it keeps what it held.  An existing path
+    is opened for appending, which changes nothing, so a directory or a
+    read-only file fails here too; a device or a pipe is refused
+    unopened.  ``discard`` removes an uncommitted temporary.
     """
 
     def __init__(self, path: str) -> None:
+        path = os.path.realpath(path)
         if os.path.exists(path):
+            if not os.path.isfile(path) and not os.path.isdir(path):
+                raise OSError(errno.EINVAL, "not a regular file")
             open(path, "a").close()
         self.path = path
         self.tmp = os.path.join(os.path.dirname(path), f".{os.path.basename(path)}.{os.getpid()}.tmp")
@@ -140,7 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="observation mode (default full)",
     )
     run_p.add_argument("--report", default=None, help="write the report to this path instead of stdout")
-    run_p.add_argument("--format", choices=["json", "md"], default="json", help="report format (default json)")
+    run_p.add_argument("--format", choices=list(EMITTERS), default="json", help="report format (default json)")
 
     sub.add_parser("list", help="list registered suites")
     return parser
@@ -173,15 +167,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         seed=args.seed,
         iterations=args.iters,
         mode=EvaluationMode(args.mode),
-        report_path=args.report,
-        format=args.format,
     )
     # Make the report file first, so an unwritable path fails before the run.
     try:
-        out = ReportFile(config.report_path) if config.report_path else None
+        out = ReportFile(args.report) if args.report else None
     except OSError as err:
         print(
-            f"costglue: error: cannot write report to {config.report_path!r}: {err.strerror}",
+            f"costglue: error: cannot write report to {args.report!r}: {err.strerror}",
             file=sys.stderr,
         )
         return 2
@@ -191,7 +183,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         except (CoherenceError, BoundViolation, ValueError, OverflowError) as err:
             print(f"costglue: internal invariant breach: {err}", file=sys.stderr)
             return 1
-        text = emit_report(report, config.format)
+        text = EMITTERS[args.format](report)
         if out is None:
             sys.stdout.write(text)
         else:

@@ -116,11 +116,6 @@ def bind(m: Charged[T], k: Callable[[T], Charged[U]]) -> Charged[U]:
     return Charged(m.cost + out.cost, out.value)
 
 
-def fmap(m: Charged[T], f: Callable[[T], U]) -> Charged[U]:
-    """Apply a pure (free) function to the value, keeping the cost."""
-    return Charged(m.cost, f(m.value))
-
-
 def erase(m: Charged[T]) -> T:
     """Forget the cost.  The behavioral view of a charged computation."""
     return m.value

@@ -8,9 +8,10 @@ property of structural folds.
 
 One ``ReportBuilder`` is the sweep object of a suite run: it holds the
 configuration, derives the RNG streams (``rb.rng(stream)``), gates what
-the mode may observe (``rb.check_beh``, ``rb.check_cost``), and every
-checker records straight into it, so the ``Report`` it builds is
-reproducible byte for byte from its configuration.
+the mode may observe (``rb.check_beh``, ``rb.check_cost``,
+``rb.check_concrete``), and every checker records straight into it, so
+the ``Report`` it builds is reproducible byte for byte from its
+configuration.
 
 Every case is recorded through ``ReportBuilder.case(ok, law, detail)``.
 ``detail`` is a zero-argument callable returning the ``(input, expected,
@@ -46,10 +47,10 @@ def derive_rng(seed: int, suite: str) -> random.Random:
     return random.Random(f"{seed}:{suite}")
 
 
-def geometric_size(rng: random.Random, mean: int = SIZE_GEOMETRIC_MEAN, cap: int = 256) -> int:
+def geometric_size(rng: random.Random, cap: int = 256) -> int:
     """Sample a size with a geometric profile (many small, few large)."""
     u = rng.random()
-    p = 1.0 / mean
+    p = 1.0 / SIZE_GEOMETRIC_MEAN
     k = int(math.log1p(-u) / math.log(1.0 - p))
     return min(k, cap)
 
@@ -117,14 +118,15 @@ class ReportBuilder:
     The mode narrows what the sweep may observe:
 
     * ``FULL``       checks everything: abstract agreement and cost.
-    * ``ABSTRACT``   the same gates as FULL; suites skip their concrete
-                     audits, so ``rbtree/invariants`` drops ``validate``
-                     (222 cases against 282 at seed 0, 60 iterations).
+    * ``ABSTRACT``   the same gates as FULL but the concrete audits, so
+                     ``rbtree/invariants`` drops ``validate`` (222 cases
+                     against 282 at seed 0, 60 iterations).
     * ``BEHAVIORAL`` checks abstract agreement only; cost is erased.
-    * ``CONCRETE``   runs implementations and records cost tables without
-                     judging abstract agreement.
+    * ``CONCRETE``   runs implementations, audits them and records cost
+                     tables without judging abstract agreement.
 
-    ``check_beh`` and ``check_cost`` are those gates.  Cost rows aggregate
+    ``check_beh``, ``check_cost`` and ``check_concrete`` (audits of
+    representations, such as ``validate``) are those gates.  Cost rows aggregate
     per size: the table keeps the maximum observed implementation cost and
     bound for each size, sorted by size, so tables stay small no matter
     how long the sweep runs.
@@ -138,6 +140,7 @@ class ReportBuilder:
         self.mode = mode
         self.check_beh = mode is not EvaluationMode.CONCRETE
         self.check_cost = mode in (EvaluationMode.FULL, EvaluationMode.ABSTRACT)
+        self.check_concrete = mode in (EvaluationMode.FULL, EvaluationMode.CONCRETE)
         self.cases = 0
         self.failures: List[Failure] = []
         self._costs: Dict[int, List[int]] = {}
@@ -409,7 +412,6 @@ def check_abstract_hom(
 class SequenceImpl:
     """A sequence carrier: its monoid ops, structural fold, and element view."""
 
-    name: str
     ops: MonoidOps
     mapreduce: Callable[[Any, MonoidOps], Charged[Any]]
     alpha: AbstractionFn

@@ -13,9 +13,10 @@ either image.  ``abstract_equal`` uses it when present, so a checker can
 compare two large representations in time proportional to where they
 differ rather than to their size.
 
-``EvaluationMode`` selects which half of a glued value a client is
-allowed to observe.  Behavioral observation is abstract observation with
-cost additionally out of view, so Behavioral implies Abstract here.
+``EvaluationMode`` names what a suite run may observe; the harness's
+``ReportBuilder`` turns it into the gates its checkers consult
+(``check_beh``, ``check_cost``, ``check_concrete``).  Behavioral
+observation is abstract observation with cost additionally out of view.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ P = TypeVar("P")
 
 
 class EvaluationMode(Enum):
-    """Which view of a glued value an observer gets."""
+    """What a run observes: everything, abstract images, representations, or behavior alone."""
 
     FULL = "full"
     ABSTRACT = "abstract"
@@ -95,22 +96,6 @@ def fracture(g: GluedValue[C, A]) -> Tuple[C, A, AbstractionFn[C, A]]:
     glue of a coherent triple returns the triple.
     """
     return (g.concrete, g.abstract, g.alpha)
-
-
-def project(g: GluedValue[C, A], mode: EvaluationMode) -> Any:
-    """Observe one side of a glued value.
-
-    Full mode returns the pair itself; Behavioral returns the same thing
-    as Abstract since behavioral observers see abstract values with cost
-    already erased.
-    """
-    if mode is EvaluationMode.FULL:
-        return g
-    if mode is EvaluationMode.CONCRETE:
-        return g.concrete
-    if mode in (EvaluationMode.ABSTRACT, EvaluationMode.BEHAVIORAL):
-        return g.abstract
-    raise ValueError(f"unknown evaluation mode: {mode!r}")
 
 
 def spec_member(

@@ -14,8 +14,8 @@ sits below the specification's (that is what makes the bound lax rather
 than exact), and over any trace the total reversal work never exceeds
 the number of enqueues.
 
-Queues hold plain elements with a distinguished default, returned when
-dequeuing an empty queue.
+Queues hold plain elements; dequeuing an empty queue returns
+``DEFAULT_ELEMENT`` at no cost.
 """
 
 from __future__ import annotations
@@ -79,15 +79,15 @@ def list_enqueue(e: Any, s: ListQueueState) -> Charged[ListQueueState]:
     return Charged(ONE, ListQueueState(s.items + (e,)))
 
 
-def list_dequeue(s: ListQueueState, default: Any = DEFAULT_ELEMENT) -> Charged[Tuple[Any, ListQueueState]]:
+def list_dequeue(s: ListQueueState) -> Charged[Tuple[Any, ListQueueState]]:
     """Pop the front, charging the full current length.
 
     The length charge is an upper bound chosen to dominate the batched
-    queue's occasional reversal; an empty queue yields the default
-    element at no cost.
+    queue's occasional reversal; an empty queue yields
+    ``DEFAULT_ELEMENT`` at no cost.
     """
     if not s.items:
-        return ret((default, s))
+        return ret((DEFAULT_ELEMENT, s))
     return Charged(Cost(len(s.items)), (s.items[0], ListQueueState(s.items[1:])))
 
 
@@ -102,19 +102,20 @@ def batched_enqueue(e: Any, s: BatchedQueueState) -> Charged[BatchedQueueState]:
     return Charged(ONE, BatchedQueueState((e,) + s.inbox, s.outbox))
 
 
-def batched_dequeue(s: BatchedQueueState, default: Any = DEFAULT_ELEMENT) -> Charged[Tuple[Any, BatchedQueueState]]:
+def batched_dequeue(s: BatchedQueueState) -> Charged[Tuple[Any, BatchedQueueState]]:
     """Pop the oldest element.
 
     Free while the outbox has elements.  When it runs dry the inbox is
     reversed into the outbox, costing one unit per inbox element; the
-    front of the reversed list is returned immediately.
+    front of the reversed list is returned immediately.  An empty queue
+    yields ``DEFAULT_ELEMENT`` at no cost.
     """
     if s.outbox:
         return ret((s.outbox[0], BatchedQueueState(s.inbox, s.outbox[1:])))
     if s.inbox:
         flipped = tuple(reversed(s.inbox))
         return Charged(Cost(len(s.inbox)), (flipped[0], BatchedQueueState((), flipped[1:])))
-    return ret((default, s))
+    return ret((DEFAULT_ELEMENT, s))
 
 
 # -- packaged implementations -------------------------------------------
@@ -147,7 +148,7 @@ BATCHED_QUEUE = QueueImpl(
 )
 
 
-def sealed_dequeue(s: BatchedQueueState, default: Any = DEFAULT_ELEMENT):
+def sealed_dequeue(s: BatchedQueueState):
     """Batched dequeue sealed under the list-queue dequeue bound.
 
     Both sides are stated over abstract outputs: the implementation is
@@ -156,11 +157,11 @@ def sealed_dequeue(s: BatchedQueueState, default: Any = DEFAULT_ELEMENT):
     image.  Seal validity is exactly the lax cost square for dequeue.
     """
     impl = bind(
-        batched_dequeue(s, default),
+        batched_dequeue(s),
         lambda out: ret((out[0], rev_append(out[1]))),
     )
     spec = bind(
-        list_dequeue(ListQueueState(rev_append(s)), default),
+        list_dequeue(ListQueueState(rev_append(s))),
         lambda out: ret((out[0], out[1].items)),
     )
     return seal(impl, spec)
@@ -177,8 +178,7 @@ class TraceRun:
     step_costs: Tuple[Tuple[str, int], ...]
 
 
-def run_trace(impl: QueueImpl, ops: Sequence[Tuple[str, Tuple[Any, ...]]],
-              default: Any = DEFAULT_ELEMENT) -> TraceRun:
+def run_trace(impl: QueueImpl, ops: Sequence[Tuple[str, Tuple[Any, ...]]]) -> TraceRun:
     """Run a sequence of (op name, args) from the empty queue."""
     state = impl.empty()
     outputs = []
@@ -198,12 +198,6 @@ def run_trace(impl: QueueImpl, ops: Sequence[Tuple[str, Tuple[Any, ...]]],
     return TraceRun(tuple(outputs), state, tuple(steps))
 
 
-def trace_observation(impl: QueueImpl, ops: Sequence[Tuple[str, Tuple[Any, ...]]]) -> Tuple[Any, ...]:
-    """The abstract footprint of a trace: dequeued elements plus final image."""
-    run = run_trace(impl, ops)
-    return (run.outputs, impl.alpha.apply(run.final_state))
-
-
 def queue_spec_member(candidate: QueueImpl, specification: QueueImpl,
                       traces: Sequence[Sequence[Tuple[str, Tuple[Any, ...]]]]) -> bool:
     """Phase-projected membership test for queue implementations.
@@ -213,7 +207,8 @@ def queue_spec_member(candidate: QueueImpl, specification: QueueImpl,
     sampled traces: same dequeued elements, same abstract final states.
     """
     def projection(impl: QueueImpl) -> Tuple[Any, ...]:
-        return tuple(trace_observation(impl, t) for t in traces)
+        runs = [run_trace(impl, t) for t in traces]
+        return tuple((run.outputs, impl.alpha.apply(run.final_state)) for run in runs)
 
     return spec_member(candidate, specification, projection)
 

@@ -223,47 +223,52 @@ def validate(t: RBTree) -> None:
 _JOIN = object()
 
 
-def _validate(t: RBTree) -> Tuple[int, int]:
-    """Black height and size of ``t``, checked bottom-up without recursion.
+def _breach(node: Node) -> Optional[str]:
+    """The first local breach at ``node`` as ``_validate`` reports it, or None.
+
+    The one statement of the node invariant; the children's black
+    heights, colors and sizes are read from their caches.
+    """
+    left, right = node.left, node.right
+    lbh, rbh = left.black_height, right.black_height
+    if lbh != rbh:
+        return f"child black heights differ: {lbh} vs {rbh}"
+    if node.color is Color.RED:
+        if left.color is not Color.BLACK or right.color is not Color.BLACK:
+            return "red node with a red child"
+        bh = lbh
+    else:
+        bh = lbh + 1
+    if node.black_height != bh:
+        return f"cached black height {node.black_height}, recomputed {bh}"
+    size = left.size + right.size
+    if node.size != size:
+        return f"cached size {node.size}, recomputed {size}"
+    return None
+
+
+def _validate(t: RBTree) -> None:
+    """Check every node of ``t`` bottom-up without recursion.
 
     Children are checked before their parent, left before right, so the
-    first breach raised is the one a recursive audit would meet first.
+    first breach raised is the one a recursive audit would meet first,
+    and a parent's check reads child caches already checked.
     """
-    done: List[Tuple[int, int]] = []
     todo: List[Any] = [t]
-    pop, push, emit = todo.pop, todo.append, done.append
+    pop, push = todo.pop, todo.append
     while todo:
         node = pop()
         if node is _JOIN:
-            node = pop()
-            rbh, rsize = done.pop()
-            lbh, lsize = done.pop()
-            if lbh != rbh:
-                raise ValueError(f"child black heights differ: {lbh} vs {rbh}")
-            if node.color is Color.RED:
-                if node.left.color is not Color.BLACK or node.right.color is not Color.BLACK:
-                    raise ValueError("red node with a red child")
-                bh = lbh
-            else:
-                bh = lbh + 1
-            if node.black_height != bh:
-                raise ValueError(f"cached black height {node.black_height}, recomputed {bh}")
-            size = lsize + rsize
-            if node.size != size:
-                raise ValueError(f"cached size {node.size}, recomputed {size}")
-            emit((bh, size))
+            breach = _breach(pop())
+            if breach is not None:
+                raise ValueError(breach)
         elif isinstance(node, Node):
             push(node)
             push(_JOIN)
             push(node.right)
             push(node.left)
-        elif isinstance(node, Leaf):
-            emit((0, 1))
-        elif isinstance(node, Empty):
-            emit((0, 0))
-        else:
+        elif not isinstance(node, (Leaf, Empty)):
             raise ValueError(f"not a tree: {node!r}")
-    return done[0]
 
 
 def audit_concat(t: RBTree, a: RBTree, b: RBTree) -> bool:
@@ -273,7 +278,7 @@ def audit_concat(t: RBTree, a: RBTree, b: RBTree) -> bool:
     passes and ``elements(t) == elements(a) + elements(b)``, so
     ``t.size == a.size + b.size``.  This is ``_same_leaves`` on ``[t]``
     against ``[a, b]``, with every node of ``t`` that it splits passing
-    ``_validate``'s local checks against its children's cached fields,
+    ``_breach``'s local checks against its children's cached fields,
     which are themselves checked when split or shared with the audited
     inputs.  The walk costs O(nodes built + depth) after ``append``.  A
     False answer asserts nothing: it also covers a non-tree root and a
@@ -286,15 +291,8 @@ def audit_concat(t: RBTree, a: RBTree, b: RBTree) -> bool:
 
 
 def _node_ok(x: Node) -> bool:
-    """``_validate``'s local checks on ``x``, children read from their caches."""
-    left, right = x.left, x.right
-    if type(left) not in _TREE_NODES or type(right) not in _TREE_NODES:
-        return False
-    lbh = left.black_height
-    red = x.color is Color.RED
-    return (lbh == right.black_height and x.black_height == (lbh if red else lbh + 1)
-            and x.size == left.size + right.size
-            and not (red and (left.color is not Color.BLACK or right.color is not Color.BLACK)))
+    """Both children of ``x`` are trees that hold leaves, and ``x`` has no breach."""
+    return type(x.left) in _TREE_NODES and type(x.right) in _TREE_NODES and _breach(x) is None
 
 
 # -- append ----------------------------------------------------------------

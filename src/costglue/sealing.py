@@ -127,7 +127,6 @@ def seal_join(s: "Sealed[Sealed[T]]") -> Sealed[T]:
     slip through.
     """
     inner_impl: Sealed[T] = s.impl.value
-    inner_spec: Sealed[T] = s.spec.value
     impl_path = bind(s.impl, lambda inner: inner.impl)
     spec_path = bind(s.spec, lambda inner: inner.spec)
     return Sealed(impl_path, spec_path, inner_impl.beh_eq)

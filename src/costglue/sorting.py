@@ -3,8 +3,9 @@
 The behavioral specification is a stable ascending sort.  ``isort`` and
 ``msort`` are instrumented implementations whose cost is exactly the
 number of comparisons performed; each comes with a closed-form budget
-(quadratic and log-linear respectively), and ``sealed_sort`` packages a
-run with its budget so the bound is checked on every call.
+(quadratic and log-linear respectively), and ``sealed_sort_tree`` sorts
+a tree's elements and seals the run under its budget, so the bound is
+checked on every call.
 
 Costs count comparisons only; list bookkeeping is free.  Comparison
 order is fixed (insertion scans the sorted prefix from its largest
@@ -133,38 +134,22 @@ def msort_bound(n: int) -> int:
     return n * ceil_lg(n)
 
 
-def sealed_sort(
-    algorithm: Callable[[Sequence[Any]], Charged[Tuple[Any, ...]]],
-    bound: Callable[[int], CostLike],
-    items: Sequence[Any],
-) -> Sealed[Tuple[Any, ...]]:
-    """Run a sort under its budget.
-
-    The implementation is the instrumented run; the specification is the
-    stable sorted output at the budgeted cost.  Sealing checks both that
-    the output is behaviorally correct and that the comparison count
-    stays within the budget.
-    """
-    impl = algorithm(items)
-    spec = Charged(as_cost(bound(len(items))), sort_spec(items))
-    return seal(impl, spec)
-
-
 def sealed_sort_tree(
     algorithm: Callable[[Sequence[Any]], Charged[Tuple[Any, ...]]],
     bound: Callable[[int], CostLike],
     t: RBTree,
 ) -> Sealed[RBTree]:
-    """The tree-sorting variant: sort through the element view.
+    """Sort a tree's elements under the algorithm's comparison budget.
 
-    Pre-composes with ``elements`` and post-composes with a rebuild, so
-    the same sealed comparison core serves tree inputs.  The seal
-    compares results up to elements, since rebuilt trees may balance
-    differently from hand-built ones.
+    The implementation is the instrumented run over ``elements(t)``, the
+    specification the stable sorted elements at the budgeted cost.  Both
+    are rebuilt into trees and sealed up to elements, since a rebuilt
+    tree may balance differently from a hand-built one.
     """
-    inner = sealed_sort(algorithm, bound, elements(t))
+    items = elements(t)
+    impl = algorithm(items)
     return seal(
-        Charged(inner.impl.cost, from_iterable(inner.impl.value)),
-        Charged(inner.spec.cost, from_iterable(inner.spec.value)),
+        Charged(impl.cost, from_iterable(impl.value)),
+        Charged(as_cost(bound(len(items))), from_iterable(sort_spec(items))),
         beh_eq=lambda x, y: abstract_equal(x, y, ELEMENTS_ALPHA),
     )

@@ -647,7 +647,6 @@ MAX_TARGET = TargetMonoid(
 # ``append`` and ``mapreduce`` are looked up when called, so a replacement
 # installed in this module reaches the sequence's operations too.
 TREE_SEQUENCE = SequenceImpl(
-    name="rbtree",
     ops=MonoidOps(empty=EMPTY, append=lambda a, b: append(a, b), singleton=singleton),
     mapreduce=lambda t, ops: mapreduce(t, ops),
     alpha=ELEMENTS_ALPHA,
@@ -674,8 +673,7 @@ def rbtree_invariants(rb: ReportBuilder) -> None:
     goes through the full ``validate``/``elements`` audit, the oracle,
     so a report reads the same whichever path judged it.
     """
-    check_concrete = rb.mode in (EvaluationMode.FULL, EvaluationMode.CONCRETE)
-    audited_laws = (("rbtree/invariant-audit",) if check_concrete else ()) + (
+    audited_laws = (("rbtree/invariant-audit",) if rb.check_concrete else ()) + (
         ("rbtree/append-elements", "rbtree/size-cache") if rb.check_beh else ()
     )
     pool = _TreePool(rb.rng())
@@ -693,7 +691,7 @@ def rbtree_invariants(rb: ReportBuilder) -> None:
             for law in audited_laws:
                 rb.case(True, law, tuple)  # a passing case never reads its detail
         else:
-            if check_concrete:
+            if rb.check_concrete:
                 try:
                     validate(t)
                     rb.cases += 1

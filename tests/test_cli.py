@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 
-from costglue.cli import SuiteConfig, emit_markdown, emit_report, main, run_suite
+from costglue import cli
+from costglue.cli import emit_markdown, main
 from costglue.harness import Failure, Report
 from costglue.suites import REGISTRY
 
@@ -151,6 +153,32 @@ class TestUsageErrors:
         assert json.loads(path.read_text(encoding="utf-8"))["suite"] == "cost/laws"
         assert [p.name for p in tmp_path.iterdir()] == ["r.json"]
 
+    def test_report_through_a_symlink_reaches_its_target(self, tmp_path, capsys) -> None:
+        target = tmp_path / "target.json"
+        target.write_text("old\n", encoding="utf-8")
+        link = tmp_path / "link.json"
+        link.symlink_to(target)
+        code, out, _ = run_cli(capsys, "run", "--suite", "cost/laws", "--iters", "2", "--report", str(link))
+        assert code == 0
+        assert out == ""
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert json.loads(target.read_text(encoding="utf-8"))["suite"] == "cost/laws"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.json", "target.json"]
+
+    def test_device_report_path_fails_before_the_run(self, capsys, monkeypatch) -> None:
+        def must_not_run(seed, iters, mode):
+            raise AssertionError("the suite ran before the report path was checked")
+
+        def must_not_rename(src, dst):
+            raise AssertionError(f"renamed {src!r} over {dst!r}")
+
+        monkeypatch.setitem(REGISTRY, "never-run", must_not_run)
+        monkeypatch.setattr(cli.os, "replace", must_not_rename)
+        code, out, err = run_cli(capsys, "run", "--suite", "never-run", "--report", os.devnull)
+        assert code == 2
+        assert out == ""
+        assert err == f"costglue: error: cannot write report to {os.devnull!r}: not a regular file\n"
+
     def test_breach_leaves_an_existing_report_as_it_was(self, tmp_path, capsys, monkeypatch) -> None:
         def blows_up(seed, iters, mode):
             raise ValueError("cached size went stale")
@@ -198,10 +226,11 @@ class TestFailurePath:
 
 
 class TestEmitters:
-    def test_emit_report_rejects_unknown_format(self) -> None:
-        rep = run_suite(SuiteConfig(suite="cost/laws", iterations=2))
-        with pytest.raises(ValueError):
-            emit_report(rep, "yaml")
+    def test_format_outside_the_emitter_table_exits_2(self, capsys) -> None:
+        with pytest.raises(SystemExit) as info:
+            main(["run", "--suite", "cost/laws", "--iters", "2", "--format", "yaml"])
+        assert info.value.code == 2
+        assert "invalid choice: 'yaml' (choose from 'json', 'md')" in capsys.readouterr().err
 
     def test_markdown_escapes_pipes_in_failures(self) -> None:
         rep = Report(

@@ -7,7 +7,7 @@ import operator
 import pytest
 from hypothesis import given, strategies as st
 
-from costglue.cost import MAX_COST, ZERO, Charged, Cost, bind, charge, erase, fmap, leq, ret
+from costglue.cost import MAX_COST, ZERO, Charged, Cost, bind, charge, erase, leq, ret
 
 costs = st.integers(min_value=0, max_value=10**9)
 values = st.integers(min_value=-(10**6), max_value=10**6)
@@ -115,20 +115,6 @@ class TestChargeLaws:
 
 
 class TestFmapErase:
-    @given(charged())
-    def test_fmap_identity(self, m: Charged[int]) -> None:
-        assert fmap(m, lambda x: x) == m
-
-    @given(charged())
-    def test_fmap_composes(self, m: Charged[int]) -> None:
-        f = lambda x: x + 1
-        g = lambda x: x * 3
-        assert fmap(m, lambda x: g(f(x))) == fmap(fmap(m, f), g)
-
-    @given(charged())
-    def test_fmap_preserves_cost(self, m: Charged[int]) -> None:
-        assert fmap(m, str).cost == m.cost
-
     @given(costs, charged())
     def test_erase_drops_charges(self, c: int, m: Charged[int]) -> None:
         assert erase(charge(c, m)) == erase(m) == m.value

@@ -44,8 +44,8 @@ def dropping_enqueue(e, s):
     return queues.batched_enqueue(e, s)
 
 
-def overcharging_dequeue(s, default=queues.DEFAULT_ELEMENT):
-    out = queues.batched_dequeue(s, default)
+def overcharging_dequeue(s):
+    out = queues.batched_dequeue(s)
     return Charged(out.cost + Cost(1), out.value)
 
 

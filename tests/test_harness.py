@@ -385,7 +385,6 @@ class TestCheckAbstractHom:
 
 class TestUniversalProperty:
     TUPLE_SEQ = SequenceImpl(
-        name="tuple",
         ops=TUPLE_OPS,
         mapreduce=lambda t, ops: fold_and_charge(t, ops),
         alpha=IDENTITY,
@@ -424,7 +423,6 @@ class TestUniversalProperty:
         lawful = sweep(check_universal_property, self.TUPLE_SEQ, TargetMonoid("sum", SUM_OPS), draw, 20, seed=3)
         assert lawful.passed and lawful.cases == 40  # agrees-with-fold and cost-metered
         overcharging = SequenceImpl(
-            name="tuple",
             ops=TUPLE_OPS,
             mapreduce=lambda t, ops: charge(int(len(t) > 2), fold_and_charge(t, ops)),
             alpha=IDENTITY,

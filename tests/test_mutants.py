@@ -1,4 +1,4 @@
-"""A kill matrix for the tree and sort layers: every broken version must fail some suite.
+"""A kill matrix: every broken version of an operation must fail some suite.
 
 Each mutant is installed in the module that looks it up when the suites
 run: ``costglue.suites`` for the functions the suites call, and
@@ -20,10 +20,18 @@ from __future__ import annotations
 
 import pytest
 
-from costglue import rbtree, sorting, suites
+from costglue import cost, queues, rbtree, sealing, sorting, suites
 from costglue.cost import Charged, Cost
 from costglue.phase import EvaluationMode
-from test_failure_records import misordering_isort, stale_size_append, subtree_dropping_append
+from costglue.queues import BatchedQueueState
+from test_failure_records import (
+    dropping_enqueue,
+    misordering_isort,
+    overcharging_charge,
+    overcharging_dequeue,
+    stale_size_append,
+    subtree_dropping_append,
+)
 
 
 def off_by_one_reduce(f, unit, t):
@@ -63,6 +71,54 @@ def leftover_dropping_merge(a, b):
     return out + a[i:], i + j
 
 
+def dearer_seal_charge(c, s):
+    """Charges the specification one unit more than the implementation."""
+    return sealing.Sealed(cost.charge(c, s.impl), cost.charge(1, cost.charge(c, s.spec)), s.beh_eq)
+
+
+def dearer_reseal(s, spec2):
+    """Reseals under a specification one unit dearer than the one asked for."""
+    return sealing.reseal(s, cost.charge(1, spec2))
+
+
+def dearer_seal_join(s):
+    """Flattens a sealed seal with a specification one unit dearer."""
+    flat = sealing.seal_join(s)
+    return sealing.Sealed(flat.impl, cost.charge(1, flat.spec), flat.beh_eq)
+
+
+def odd_cost_bind(m, k):
+    """Adds a unit when ``m``'s cost is odd."""
+    out = cost.bind(m, k)
+    return cost.charge(m.cost.value % 2, out)
+
+
+def odd_cost_erase(m):
+    """Adds 1 to an int value whose cost is odd."""
+    if type(m.value) is int and m.cost.value % 2:
+        return m.value + 1
+    return m.value
+
+
+def identity_enqueue(e, s):
+    """Charges for an enqueue and keeps the state as it was."""
+    return Charged(Cost(1), s)
+
+
+def wrong_element_dequeue(s):
+    """Returns the second element of an outbox of more than three."""
+    if len(s.outbox) > 3:
+        return Charged(Cost(0), (s.outbox[1], BatchedQueueState(s.inbox, s.outbox[1:])))
+    return queues.batched_dequeue(s)
+
+
+def inbox_losing_dequeue(s):
+    """Loses an inbox of more than two while the outbox holds elements too."""
+    if s.outbox and len(s.inbox) > 2:
+        return queues.batched_dequeue(BatchedQueueState((), s.outbox))
+    return queues.batched_dequeue(s)
+
+
 MUTANTS = [
     (suites, "append", subtree_dropping_append),
     (suites, "append", stale_size_append),
@@ -71,6 +127,17 @@ MUTANTS = [
     (suites, "append", operand_swapping_append),
     (suites, "isort", misordering_isort),
     (sorting, "_merge", leftover_dropping_merge),
+    (suites, "charge", overcharging_charge),
+    (suites, "seal_charge", dearer_seal_charge),
+    (suites, "reseal", dearer_reseal),
+    (suites, "seal_join", dearer_seal_join),
+    (suites, "bind", odd_cost_bind),
+    (suites, "erase", odd_cost_erase),
+    (suites, "batched_enqueue", dropping_enqueue),
+    (suites, "batched_enqueue", identity_enqueue),
+    (suites, "batched_dequeue", overcharging_dequeue),
+    (suites, "batched_dequeue", wrong_element_dequeue),
+    (suites, "batched_dequeue", inbox_losing_dequeue),
 ]
 
 

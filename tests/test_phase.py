@@ -8,12 +8,10 @@ from hypothesis import given, strategies as st
 from costglue.phase import (
     AbstractionFn,
     CoherenceError,
-    EvaluationMode,
     GluedValue,
     abstract_equal,
     fracture,
     glue,
-    project,
     spec_member,
 )
 from costglue.queues import BATCHED_ALPHA, BatchedQueueState, rev_append
@@ -62,33 +60,12 @@ class TestGlue:
 
 
 class TestProjection:
-    def _glued(self) -> GluedValue[BatchedQueueState, tuple[int, ...]]:
-        s = BatchedQueueState(inbox=(3,), outbox=(1, 2))
-        return glue(s, (1, 2, 3), BATCHED_ALPHA)
-
-    def test_full_keeps_the_pair(self) -> None:
-        g = self._glued()
-        assert project(g, EvaluationMode.FULL) is g
-
-    def test_concrete_projects_left(self) -> None:
-        g = self._glued()
-        assert project(g, EvaluationMode.CONCRETE) == g.concrete
-
-    def test_abstract_projects_right(self) -> None:
-        g = self._glued()
-        assert project(g, EvaluationMode.ABSTRACT) == (1, 2, 3)
-
-    def test_behavioral_projects_right(self) -> None:
-        # Behavioral checking observes abstract images only.
-        g = self._glued()
-        assert project(g, EvaluationMode.BEHAVIORAL) == (1, 2, 3)
-
     @given(batched_states)
     def test_abstract_clients_cannot_see_representation(self, s: BatchedQueueState) -> None:
         image = rev_append(s)
         flushed = BatchedQueueState(inbox=(), outbox=image)
-        a = project(glue(s, image, BATCHED_ALPHA), EvaluationMode.ABSTRACT)
-        b = project(glue(flushed, image, BATCHED_ALPHA), EvaluationMode.ABSTRACT)
+        a = glue(s, image, BATCHED_ALPHA).abstract
+        b = glue(flushed, image, BATCHED_ALPHA).abstract
         assert a == b
 
 

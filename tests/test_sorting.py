@@ -18,7 +18,6 @@ from costglue.sorting import (
     isort_bound,
     msort,
     msort_bound,
-    sealed_sort,
     sealed_sort_tree,
     sort_spec,
 )
@@ -116,19 +115,21 @@ class TestBounds:
 
 class TestSealedSort:
     def test_sealed_isort_example(self) -> None:
-        cert = sealed_sort(isort, isort_bound, (3, 1, 2))
-        assert cert.impl.value == (1, 2, 3)
+        cert = sealed_sort_tree(isort, isort_bound, from_iterable((3, 1, 2)))
+        assert elements(cert.impl.value) == (1, 2, 3)
+        assert cert.impl.cost == Cost(3)
         assert cert.spec.cost == Cost(9)
-        assert cert.impl.cost <= cert.spec.cost
 
     @given(seqs)
     def test_sealing_never_fails_for_honest_budgets(self, xs: tuple[int, ...]) -> None:
-        sealed_sort(isort, isort_bound, xs)
-        sealed_sort(msort, msort_bound, xs)
+        sealed_sort_tree(isort, isort_bound, from_iterable(xs))
+        sealed_sort_tree(msort, msort_bound, from_iterable(xs))
 
     def test_dishonest_budget_is_rejected(self) -> None:
-        with pytest.raises(BoundViolation):
-            sealed_sort(isort, lambda n: max(0, n - 1), (3, 2, 1))
+        with pytest.raises(BoundViolation, match=r"^implementation cost Cost\(3\) exceeds bound Cost\(2\)$"):
+            sealed_sort_tree(isort, lambda n: max(0, n - 1), from_iterable((3, 2, 1)))
+        with pytest.raises(BoundViolation, match="^implementation and specification values differ$"):
+            sealed_sort_tree(lambda items: Charged(Cost(0), tuple(items)), isort_bound, from_iterable((3, 2, 1)))
 
     @given(seqs)
     def test_sealed_sort_tree_collects_sorted_elements(self, xs: tuple[int, ...]) -> None:
