@@ -25,6 +25,7 @@ from .sealing import BoundViolation
 from .suites import REGISTRY
 
 MAX_SEED = 2**64 - 1
+MAX_ITERS = 10**7  # the largest --iters: 1000 times the heaviest acceptance load
 
 
 @dataclass(frozen=True)
@@ -126,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="run one suite and emit its report")
     run_p.add_argument("--suite", required=True, help="suite name (see `costglue list`)")
     run_p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
-    run_p.add_argument("--iters", type=int, default=1000, help="sample count (default 1000)")
+    run_p.add_argument("--iters", type=int, default=1000, help=f"sample count, at most {MAX_ITERS} (default 1000)")
     run_p.add_argument(
         "--mode",
         choices=[m.value for m in EvaluationMode],
@@ -158,8 +159,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if not (0 <= args.seed <= MAX_SEED):
         print(f"costglue: error: seed must fit in 64 bits, got {args.seed}", file=sys.stderr)
         return 2
-    if args.iters < 0:
-        print(f"costglue: error: --iters must be non-negative, got {args.iters}", file=sys.stderr)
+    if not (0 <= args.iters <= MAX_ITERS):
+        print(f"costglue: error: --iters must be in 0..{MAX_ITERS}, got {args.iters}", file=sys.stderr)
         return 2
 
     config = SuiteConfig(

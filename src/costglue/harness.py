@@ -55,6 +55,19 @@ def geometric_size(rng: random.Random, cap: int = 256) -> int:
     return min(k, cap)
 
 
+def random_items(rng: random.Random, bound: int, n: int) -> Tuple[int, ...]:
+    """``tuple(rng.randrange(bound) for _ in range(n))``: the same draws, in one frame."""
+    if bound < 1:
+        raise ValueError("empty range for randrange()")
+    getrandbits, k, out = rng.getrandbits, bound.bit_length(), []
+    for _ in range(n):
+        r = getrandbits(k)
+        while r >= bound:  # ``randrange``'s rejection, so the stream is the same
+            r = getrandbits(k)
+        out.append(r)
+    return tuple(out)
+
+
 def render(value: Any) -> str:
     """Deterministic display form for failure records."""
     text = repr(value)

@@ -21,13 +21,11 @@ Queues hold plain elements; dequeuing an empty queue returns
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Sequence, Tuple, TypeVar
+from typing import Any, Callable, Sequence, Tuple
 
 from .cost import ONE, Charged, Cost, bind, erase, ret
 from .phase import AbstractionFn, spec_member
 from .sealing import seal
-
-E = TypeVar("E")
 
 DEFAULT_ELEMENT = 0
 

@@ -46,7 +46,7 @@ from typing import Any, Callable, Iterable, List, Optional, Tuple
 
 from .cost import Charged, Cost, ret
 from .harness import MonoidOps
-from .phase import AbstractionFn
+from .phase import AbstractionFn, last_image
 
 # Cost of append is bounded by APPEND_BOUND_FACTOR * (|bh1 - bh2| + 2).
 # One spine step builds at most four nodes (a red rebuild plus a
@@ -207,7 +207,7 @@ def same_elements(x: RBTree, y: RBTree) -> bool:
     return _same_leaves([x], [y])
 
 
-ELEMENTS_ALPHA: AbstractionFn = AbstractionFn(apply=elements, kernel=same_elements)
+ELEMENTS_ALPHA: AbstractionFn = AbstractionFn(apply=last_image(elements), kernel=same_elements)
 
 
 def validate(t: RBTree) -> None:

@@ -20,7 +20,7 @@ import random
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import rbtree
-from .cost import Charged, Cost, bind, charge, erase, leq, ret
+from .cost import ONE, Charged, Cost, bind, charge, erase, leq, ret
 from .harness import (
     MonoidOps,
     Report,
@@ -36,9 +36,10 @@ from .harness import (
     commute,
     derive_rng,
     geometric_size,
+    random_items,
     render,
 )
-from .phase import AbstractionFn, CoherenceError, EvaluationMode, abstract_equal, fracture, glue
+from .phase import AbstractionFn, CoherenceError, EvaluationMode, abstract_equal, fracture, glue, last_image
 from .queues import (
     BATCHED_ALPHA,
     BATCHED_QUEUE,
@@ -160,10 +161,9 @@ def cost_laws(rb: ReportBuilder) -> None:
 # ---------------------------------------------------------------------------
 # phase/roundtrip
 
-def _random_batched_state(rng: random.Random, cap: int = 128) -> BatchedQueueState:
-    inbox = tuple(rng.randrange(100) for _ in range(geometric_size(rng, cap=cap)))
-    outbox = tuple(rng.randrange(100) for _ in range(geometric_size(rng, cap=cap)))
-    return BatchedQueueState(inbox, outbox)
+def _random_batched_state(rng: random.Random) -> BatchedQueueState:
+    inbox = random_items(rng, 100, geometric_size(rng, cap=128))
+    return BatchedQueueState(inbox, random_items(rng, 100, geometric_size(rng, cap=128)))
 
 
 class _TreePool:
@@ -216,7 +216,7 @@ def phase_roundtrip(rb: ReportBuilder) -> None:
 
         trees.grow()
         t = trees.sample()
-        gt = glue(t, elements(t), ELEMENTS_ALPHA)
+        gt = glue(t, ELEMENTS_ALPHA.apply(t), ELEMENTS_ALPHA)
         back_t = glue(*fracture(gt))
         rb.case(
             back_t == gt,
@@ -333,30 +333,11 @@ def sealing_laws(rb: ReportBuilder) -> None:
 # ---------------------------------------------------------------------------
 # queues/coherence
 
-class _LastImage:
-    """``rev_append`` that remembers the last state it read, by identity.
-
-    States are frozen, so a state's image never changes.  Along a trace
-    each step's result state is the next step's input, so the image the
-    dequeue or enqueue square computes for one step's output serves the
-    next step's input and the quotient check unrecomputed.
-    """
-
-    def __init__(self) -> None:
-        self.state: Optional[BatchedQueueState] = None
-        self.image: Tuple[Any, ...] = ()
-
-    def __call__(self, s: BatchedQueueState) -> Tuple[Any, ...]:
-        if s is not self.state:
-            self.state, self.image = s, rev_append(s)
-        return self.image
-
-
 def _enqueue_square(image: Callable[[BatchedQueueState], Tuple[Any, ...]]) -> SquareSpec:
     return SquareSpec(
         name="enqueue",
         f_top=lambda p: batched_enqueue(p[0], p[1]),
-        f_abs=lambda p: Charged(Cost(1), p[1] + (p[0],)),
+        f_abs=lambda p: Charged(ONE, p[1] + (p[0],)),
         alpha_in=AbstractionFn(apply=lambda p: (p[0], image(p[1]))),
         alpha_out=AbstractionFn(apply=image),
         lax=False,
@@ -493,7 +474,7 @@ def queues_coherence(rb: ReportBuilder) -> None:
         lambda: ("()", "()", render(rev_append(batched_empty()))),
     )
 
-    image = _LastImage()
+    image = last_image(rev_append)  # a step's output state is the next step's input
     squares = (_enqueue_square(image), _dequeue_square(image))
     check_square(
         rb,
@@ -539,7 +520,7 @@ def queues_coherence(rb: ReportBuilder) -> None:
 # queues/noninterference
 
 def _stack_push(e: Any, s: ListQueueState) -> Charged[ListQueueState]:
-    return Charged(Cost(1), ListQueueState((e,) + s.items))
+    return Charged(ONE, ListQueueState((e,) + s.items))
 
 
 STACK_IMPL = QueueImpl(
@@ -604,13 +585,13 @@ def queues_noninterference(rb: ReportBuilder) -> None:
         "/qreverse",
         qreverse,
         impls,
-        lambda r: tuple(r.randrange(100) for _ in range(r.randrange(201))),
+        lambda r: random_items(r, 100, r.randrange(201)),
         rb.iterations,
     )
 
     oracle_rng = rb.rng("/oracle")
     for _ in range(rb.iterations):
-        items = tuple(oracle_rng.randrange(100) for _ in range(oracle_rng.randrange(201)))
+        items = random_items(oracle_rng, 100, oracle_rng.randrange(201))
         expected = tuple(reversed(items))
         for impl_name, impl in impls:
             got = qreverse(impl, items)
@@ -633,15 +614,15 @@ def queues_noninterference(rb: ReportBuilder) -> None:
 
 SUM_TARGET = TargetMonoid(
     name="nat-sum",
-    ops=MonoidOps(empty=0, append=lambda x, y: Charged(Cost(1), x + y), singleton=lambda e: 1),
+    ops=MonoidOps(empty=0, append=lambda x, y: Charged(ONE, x + y), singleton=lambda e: 1),
 )
 LIST_TARGET = TargetMonoid(
     name="list",
-    ops=MonoidOps(empty=(), append=lambda x, y: Charged(Cost(1), x + y), singleton=lambda e: (e,)),
+    ops=MonoidOps(empty=(), append=lambda x, y: Charged(ONE, x + y), singleton=lambda e: (e,)),
 )
 MAX_TARGET = TargetMonoid(
     name="nat-max",
-    ops=MonoidOps(empty=0, append=lambda x, y: Charged(Cost(1), max(x, y)), singleton=lambda e: e),
+    ops=MonoidOps(empty=0, append=lambda x, y: Charged(ONE, max(x, y)), singleton=lambda e: e),
 )
 
 # ``append`` and ``mapreduce`` are looked up when called, so a replacement
@@ -736,10 +717,10 @@ def rbtree_invariants(rb: ReportBuilder) -> None:
             ("elements", lambda t: elements(t)),
             ("length", lambda t: length_fast(t)),
             ("mapreduce-sum", lambda t: mapreduce(t, SUM_TARGET.ops).value),
-            ("reduce-max", lambda t: reduce(lambda x, y: Charged(Cost(1), max(x, y)), 0, t).value),
+            ("reduce-max", lambda t: reduce(lambda x, y: Charged(ONE, max(x, y)), 0, t).value),
         )
         for _ in range(samples):
-            items = tuple(probe_rng.randrange(100) for _ in range(1 + geometric_size(probe_rng, cap=64)))
+            items = random_items(probe_rng, 100, 1 + geometric_size(probe_rng, cap=64))
             cut = probe_rng.randrange(len(items) + 1)
             left_first = append(from_iterable(items[:cut]), from_iterable(items[cut:])).value
             straight = from_iterable(items)
@@ -770,7 +751,7 @@ def rbtree_universal(rb: ReportBuilder) -> None:
         SUM_TARGET,
         tree_gen,
         rb.iterations,
-        extra_homs=(("cached-length", lambda t: Charged(Cost(1), length_fast(t))),),
+        extra_homs=(("cached-length", lambda t: Charged(ONE, length_fast(t))),),
     )
     check_universal_property(
         rb,
@@ -808,7 +789,7 @@ def rbtree_reduce(rb: ReportBuilder) -> None:
     pool = _TreePool(rng, cap=1024)
 
     def plus(x: int, y: int) -> Charged[int]:
-        return Charged(Cost(1), x + y)
+        return Charged(ONE, x + y)
 
     probe = plus(1, 2)
     rb.case(
@@ -895,7 +876,7 @@ def sorting_bounds(rb: ReportBuilder) -> None:
             n = rng.randrange(256, 513)
         else:
             n = geometric_size(rng, cap=255)
-        items = tuple(rng.randrange(1000) for _ in range(n))
+        items = random_items(rng, 1000, n)
         expected = sort_spec(items)
         runs = judge(items, expected)
         try:
@@ -921,10 +902,13 @@ def sorting_bounds(rb: ReportBuilder) -> None:
         "sorting/isort-sorted-input",
         lambda: (ascending, len(ascending) - 1, run.cost.value),
     )
-    tree = from_iterable((3, 1, 2))
-    sealed_tree = sealed_sort_tree(msort, msort_bound, tree)
-    rb.case(
-        elements(sealed_tree.impl.value) == (1, 2, 3),
-        "sorting/sealed-tree",
-        lambda: ((3, 1, 2), (1, 2, 3), render(elements(sealed_tree.impl.value))),
-    )
+    try:
+        sealed_tree = sealed_sort_tree(msort, msort_bound, from_iterable((3, 1, 2)))
+    except BoundViolation as err:
+        rb.fail("sorting/sealed-tree", (3, 1, 2), "valid seal", render(err))
+    else:
+        rb.case(
+            elements(sealed_tree.impl.value) == (1, 2, 3),
+            "sorting/sealed-tree",
+            lambda: ((3, 1, 2), (1, 2, 3), render(elements(sealed_tree.impl.value))),
+        )

@@ -7,9 +7,11 @@ import os
 
 import pytest
 
-from costglue import cli
+from costglue import cli, suites
 from costglue.cli import emit_markdown, main
+from costglue.cost import Charged, Cost
 from costglue.harness import Failure, Report
+from costglue.sorting import msort_bound
 from costglue.suites import REGISTRY
 
 
@@ -104,6 +106,29 @@ class TestUsageErrors:
         code, _, err = run_cli(capsys, "run", "--suite", "cost/laws", "--iters", "-1")
         assert code == 2
         assert "--iters" in err
+
+    def test_iters_over_the_bound_exits_2_before_the_run(self, capsys, monkeypatch) -> None:
+        def must_not_run(config):
+            raise AssertionError("the suite ran with --iters over its bound")
+
+        monkeypatch.setattr(cli, "run_suite", must_not_run)
+        over = cli.MAX_ITERS + 1
+        code, out, err = run_cli(capsys, "run", "--suite", "cost/laws", "--iters", str(over))
+        assert code == 2
+        assert out == ""
+        assert err == f"costglue: error: --iters must be in 0..{cli.MAX_ITERS}, got {over}\n"
+
+    def test_iters_at_the_bound_reaches_the_run(self, capsys, monkeypatch) -> None:
+        seen = []
+
+        def record_only(config):
+            seen.append(config.iterations)
+            return Report("cost/laws", 0, config.iterations, "full", 0, (), ())
+
+        monkeypatch.setattr(cli, "run_suite", record_only)
+        code, _, _ = run_cli(capsys, "run", "--suite", "cost/laws", "--iters", str(cli.MAX_ITERS))
+        assert code == 0
+        assert seen == [cli.MAX_ITERS]
 
     def test_seed_out_of_range(self, capsys) -> None:
         code, _, err = run_cli(capsys, "run", "--suite", "cost/laws", "--seed", str(2**64))
@@ -213,6 +238,22 @@ class TestFailurePath:
         code, out, _ = run_cli(capsys, "run", "--suite", "rigged")
         assert code == 1
         assert json.loads(out)["failures"][0]["law"] == "law"
+
+    def test_over_budget_sealed_sort_is_a_recorded_failure(self, capsys, monkeypatch) -> None:
+        honest = suites.msort
+
+        def overcharging_msort(items):
+            out = honest(items)
+            return Charged(out.cost + Cost(msort_bound(len(items)) + 1), out.value)
+
+        monkeypatch.setattr(suites, "msort", overcharging_msort)
+        code, out, err = run_cli(
+            capsys, "run", "--suite", "sorting/bounds", "--iters", "40", "--mode", "behavioral"
+        )
+        assert code == 1
+        assert "breach" not in err
+        laws = [f["law"] for f in json.loads(out)["failures"]]
+        assert laws.count("sorting/sealed-tree") == 1
 
     def test_internal_breach_exits_1(self, capsys, monkeypatch) -> None:
         def blows_up(seed, iters, mode):

@@ -25,6 +25,7 @@ from costglue.harness import (
     derive_rng,
     fold_elements,
     geometric_size,
+    random_items,
     render,
 )
 from costglue.phase import AbstractionFn, EvaluationMode
@@ -62,6 +63,33 @@ class TestRngDiscipline:
         sizes = [geometric_size(rng, cap=50) for _ in range(2000)]
         assert all(0 <= s <= 50 for s in sizes)
         assert max(sizes) == 50  # the tail does get exercised
+
+
+class TestRandomItems:
+    @pytest.mark.parametrize("bound", [1, 2, 3, 64, 100, 1000, 2**33 + 1])
+    @pytest.mark.parametrize("n", [0, 1, 40, 512])
+    def test_same_draws_and_state_as_randrange(self, bound: int, n: int) -> None:
+        mine, theirs = random.Random(f"{bound}:{n}"), random.Random(f"{bound}:{n}")
+        assert random_items(mine, bound, n) == tuple(theirs.randrange(bound) for _ in range(n))
+        assert mine.getstate() == theirs.getstate()
+
+    @pytest.mark.parametrize("bound", [0, -1])
+    def test_an_empty_range_raises(self, bound: int) -> None:
+        class Stub:
+            """Draws zeros, and fails instead of hanging if asked too often."""
+
+            calls = 0
+
+            def getrandbits(self, k: int) -> int:
+                self.calls += 1
+                if self.calls > 100:
+                    raise AssertionError("drew without end from an empty range")
+                return 0
+
+        with pytest.raises(ValueError):
+            random.Random(0).randrange(bound)
+        with pytest.raises(ValueError):
+            random_items(Stub(), bound, 3)
 
 
 class TestRender:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -12,9 +14,11 @@ from costglue.phase import (
     abstract_equal,
     fracture,
     glue,
+    last_image,
     spec_member,
 )
 from costglue.queues import BATCHED_ALPHA, BatchedQueueState, rev_append
+from costglue.rbtree import ELEMENTS_ALPHA, from_iterable
 
 elems = st.integers(min_value=0, max_value=99)
 batched_states = st.builds(
@@ -127,3 +131,40 @@ class TestAbstractionFn:
 
     def test_apply(self) -> None:
         assert BATCHED_ALPHA.apply(BatchedQueueState((3,), (1, 2))) == (1, 2, 3)
+
+
+class TestLastImage:
+    def test_a_repeat_call_returns_the_same_image(self) -> None:
+        reads = []
+        image = last_image(lambda s: reads.append(s) or rev_append(s))
+        s = BatchedQueueState((3,), (1, 2))
+        first = image(s)
+        assert image(s) is first
+        assert reads == [s]
+
+    def test_a_new_object_is_recomputed(self) -> None:
+        reads = []
+        image = last_image(lambda s: reads.append(s) or rev_append(s))
+        s, twin = BatchedQueueState((3,), (1, 2)), BatchedQueueState((3,), (1, 2))
+        image(s)
+        assert image(twin) == (1, 2, 3)
+        assert len(reads) == 2 and reads[1] is twin
+
+    def test_the_empty_slot_matches_no_argument(self) -> None:
+        assert last_image(lambda x: "computed")(None) == "computed"
+
+    def test_the_memo_holds_its_key(self) -> None:
+        image = last_image(rev_append)
+        s = BatchedQueueState((), (1,))
+        before = sys.getrefcount(s)
+        image(s)
+        assert sys.getrefcount(s) == before + 1
+        image(BatchedQueueState((), (2,)))
+        assert sys.getrefcount(s) == before
+
+    def test_glue_after_a_memoised_read_still_checks_coherence(self) -> None:
+        t = from_iterable((1, 2, 3))
+        assert ELEMENTS_ALPHA.apply(t) == (1, 2, 3)
+        with pytest.raises(CoherenceError):
+            glue(t, (1, 2), ELEMENTS_ALPHA)
+        assert glue(t, (1, 2, 3), ELEMENTS_ALPHA).abstract == (1, 2, 3)
