@@ -21,12 +21,13 @@ U = TypeVar("U")
 MAX_COST = 2**63 - 1
 
 
-@dataclass(frozen=True, slots=True, order=True, init=False)
+@dataclass(frozen=True, slots=True, eq=False, init=False)
 class Cost:
     """A non-negative amount of abstract work, with checked addition.
 
     ``Cost(n)`` validates ``n``; a sum of two costs, already valid, only
-    checks for overflow.
+    checks for overflow.  Costs compare only with costs: ``>`` and ``>=``
+    are the reflections of ``<`` and ``<=``.
     """
 
     value: int
@@ -52,6 +53,18 @@ class Cost:
         out = _new(Cost)
         _set_cost_value(out, total)
         return out
+
+    def __eq__(self, other: object) -> bool:
+        return self.value == other.value if type(other) is Cost else NotImplemented
+
+    def __lt__(self, other: "Cost") -> bool:
+        return self.value < other.value if type(other) is Cost else NotImplemented
+
+    def __le__(self, other: "Cost") -> bool:
+        return self.value <= other.value if type(other) is Cost else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.value,))
 
     def __repr__(self) -> str:
         return f"Cost({self.value})"

@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 import operator
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from .cost import Charged
@@ -53,6 +53,17 @@ def geometric_size(rng: random.Random, cap: int = 256) -> int:
     p = 1.0 / SIZE_GEOMETRIC_MEAN
     k = int(math.log1p(-u) / math.log(1.0 - p))
     return min(k, cap)
+
+
+def randbelow(rng: random.Random, n: int) -> int:
+    """``rng.randrange(n)``: the same draw, in one frame; ``randrange(a, b)`` is ``a + randbelow(rng, b - a)``."""
+    if n < 1:
+        raise ValueError("empty range for randrange()")
+    getrandbits, k = rng.getrandbits, n.bit_length()
+    r = getrandbits(k)
+    while r >= n:  # ``randrange``'s rejection, so the stream is the same
+        r = getrandbits(k)
+    return r
 
 
 def random_items(rng: random.Random, bound: int, n: int) -> Tuple[int, ...]:
@@ -222,6 +233,10 @@ class SquareSpec:
     alpha_in: AbstractionFn
     alpha_out: AbstractionFn
     lax: bool = False
+    law: str = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "law", f"square/{self.name}/{'lax' if self.lax else 'strict'}")
 
 
 def commute(rb: ReportBuilder, square: SquareSpec, x: Any) -> Tuple[Charged[Any], Charged[Any]]:
@@ -237,13 +252,12 @@ def commute(rb: ReportBuilder, square: SquareSpec, x: Any) -> Tuple[Charged[Any]
     mapped = square.alpha_out.apply(top.value)
     beh_ok = not rb.check_beh or square.alpha_out.abs_eq(mapped, bottom.value)
     cost_ok = not rb.check_cost or (top.cost <= bottom.cost if square.lax else top.cost == bottom.cost)
-    kind, relation = ("lax", "<=") if square.lax else ("strict", "==")
     rb.case(
         bool(beh_ok and cost_ok),
-        f"square/{square.name}/{kind}",
+        square.law,
         lambda: (
             x,
-            f"image {render(bottom.value)} at cost {relation} {bottom.cost.value}",
+            f"image {render(bottom.value)} at cost {'<=' if square.lax else '=='} {bottom.cost.value}",
             f"image {render(mapped)} at cost {top.cost.value}",
         ),
     )

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence, Tuple
 
-from .cost import ONE, Charged, Cost, bind, erase, ret
+from .cost import ONE, ZERO, Charged, Cost, bind, ret
 from .phase import AbstractionFn, spec_member
 from .sealing import seal
 
@@ -59,7 +59,7 @@ _set_outbox = BatchedQueueState.outbox.__set__
 
 def rev_append(state: BatchedQueueState) -> Tuple[Any, ...]:
     """The list a batched state represents: outbox ++ reverse(inbox)."""
-    return state.outbox + tuple(reversed(state.inbox))
+    return state.outbox + state.inbox[::-1]
 
 
 LIST_ALPHA: AbstractionFn = AbstractionFn(apply=lambda s: s.items)
@@ -85,7 +85,7 @@ def list_dequeue(s: ListQueueState) -> Charged[Tuple[Any, ListQueueState]]:
     ``DEFAULT_ELEMENT`` at no cost.
     """
     if not s.items:
-        return ret((DEFAULT_ELEMENT, s))
+        return Charged(ZERO, (DEFAULT_ELEMENT, s))
     return Charged(Cost(len(s.items)), (s.items[0], ListQueueState(s.items[1:])))
 
 
@@ -109,11 +109,11 @@ def batched_dequeue(s: BatchedQueueState) -> Charged[Tuple[Any, BatchedQueueStat
     yields ``DEFAULT_ELEMENT`` at no cost.
     """
     if s.outbox:
-        return ret((s.outbox[0], BatchedQueueState(s.inbox, s.outbox[1:])))
+        return Charged(ZERO, (s.outbox[0], BatchedQueueState(s.inbox, s.outbox[1:])))
     if s.inbox:
-        flipped = tuple(reversed(s.inbox))
+        flipped = s.inbox[::-1]
         return Charged(Cost(len(s.inbox)), (flipped[0], BatchedQueueState((), flipped[1:])))
-    return ret((DEFAULT_ELEMENT, s))
+    return Charged(ZERO, (DEFAULT_ELEMENT, s))
 
 
 # -- packaged implementations -------------------------------------------
@@ -216,7 +216,7 @@ def queue_spec_member(candidate: QueueImpl, specification: QueueImpl,
 def demo(q: QueueImpl, e: Any) -> Any:
     """Enqueue one element into the empty queue and dequeue it back."""
     run = bind(q.enqueue(e, q.empty()), q.dequeue)
-    return erase(run)[0]
+    return run.value[0]
 
 
 def from_list(q: QueueImpl, items: Sequence[Any]) -> Any:
@@ -227,7 +227,7 @@ def from_list(q: QueueImpl, items: Sequence[Any]) -> Any:
     """
     state = q.empty()
     for e in reversed(items):
-        state = erase(q.enqueue(e, state))
+        state = q.enqueue(e, state).value
     return state
 
 
@@ -235,7 +235,7 @@ def to_list(q: QueueImpl, k: int, state: Any) -> Tuple[Any, ...]:
     """Dequeue ``k`` elements in order; an exhausted queue pads with defaults."""
     out = []
     for _ in range(k):
-        e, state = erase(q.dequeue(state))
+        e, state = q.dequeue(state).value
         out.append(e)
     return tuple(out)
 

@@ -36,6 +36,7 @@ from .harness import (
     commute,
     derive_rng,
     geometric_size,
+    randbelow,
     random_items,
     render,
 )
@@ -129,12 +130,12 @@ def cost_laws(rb: ReportBuilder) -> None:
         lambda n: Charged(Cost(n % 3), -n),
     )
     for _ in range(rb.iterations):
-        x = rng.randrange(-1000, 1000)
-        c1 = Cost(rng.randrange(0, 100))
-        c2 = Cost(rng.randrange(0, 100))
-        m = Charged(Cost(rng.randrange(0, 100)), x)
-        k = kont[rng.randrange(len(kont))]
-        h = kont[rng.randrange(len(kont))]
+        x = -1000 + randbelow(rng, 2000)
+        c1 = Cost(randbelow(rng, 100))
+        c2 = Cost(randbelow(rng, 100))
+        m = Charged(Cost(randbelow(rng, 100)), x)
+        k = kont[randbelow(rng, len(kont))]
+        h = kont[randbelow(rng, len(kont))]
 
         rb.equal("cost/charge-zero", m, m, charge(0, m))
         rb.equal("cost/charge-plus", (c1, c2, m), charge(c1 + c2, m), charge(c1, charge(c2, m)))
@@ -238,18 +239,20 @@ def phase_roundtrip(rb: ReportBuilder) -> None:
 
 @register("sealing/laws")
 def sealing_laws(rb: ReportBuilder) -> None:
-    """Projection, transitivity, charge-commutation, and monad laws for seals."""
+    """Projection, transitivity, charge-commutation, and monad laws for seals.
+
+    The validity sweep judges each seal as it is built, so memory does not grow with ``iterations``.
+    """
     rng = rb.rng()
-    ledger: List[Sealed] = []
+    swept = bad = 0
     for _ in range(rb.iterations):
-        v = rng.randrange(-50, 50)
-        ci = rng.randrange(0, 50)
-        gap = rng.randrange(0, 50)
-        extra = rng.randrange(0, 50)
+        v = -50 + randbelow(rng, 100)
+        ci = randbelow(rng, 50)
+        gap = randbelow(rng, 50)
+        extra = randbelow(rng, 50)
         impl = Charged(Cost(ci), v)
         spec = Charged(Cost(ci + gap), v)
         s = seal(impl, spec)
-        ledger.append(s)
 
         rb.equal("seal/unseal-abstract", s, spec, unseal_abstract(s))
         rb.equal("seal/unseal-concrete", s, impl, unseal_concrete(s))
@@ -261,12 +264,13 @@ def sealing_laws(rb: ReportBuilder) -> None:
 
         wider = charge(extra, spec)
         r = reseal(s, wider)
-        ledger.append(r)
         rb.equal("seal/reseal-transitive", (s, wider), seal(impl, wider), r)
         rb.equal("seal/reseal-identity", s, s, reseal(s, spec))
 
         sc = seal_charge(extra, s)
-        ledger.append(sc)
+        for built in (s, r, sc):  # the validity sweep, one seal at a time
+            swept += 1
+            bad += not (built.impl.cost <= built.spec.cost and built.beh_eq(built.impl.value, built.spec.value))
         rb.equal("seal/charge-commutes", (extra, s), seal(charge(extra, impl), charge(extra, spec)), sc)
         rb.equal("seal/charge-zero", s, s, seal_charge(0, s))
 
@@ -280,13 +284,13 @@ def sealing_laws(rb: ReportBuilder) -> None:
         rb.equal("seal/join-map-return", s, s, seal_join(mapped))
 
         # monad associativity on a random triple nesting
-        inner_i = seal(Charged(Cost(rng.randrange(10)), v), Charged(Cost(9 + rng.randrange(10)), v))
-        inner_s = seal(Charged(Cost(rng.randrange(10)), v), Charged(Cost(9 + rng.randrange(10)), v))
-        mid_i = Sealed(charge(rng.randrange(10), ret(inner_i)), charge(9 + rng.randrange(10), ret(inner_s)), sealed_beh_eq())
-        mid_s = Sealed(charge(rng.randrange(10), ret(inner_i)), charge(9 + rng.randrange(10), ret(inner_s)), sealed_beh_eq())
+        inner_i = seal(Charged(Cost(randbelow(rng, 10)), v), Charged(Cost(9 + randbelow(rng, 10)), v))
+        inner_s = seal(Charged(Cost(randbelow(rng, 10)), v), Charged(Cost(9 + randbelow(rng, 10)), v))
+        mid_i = Sealed(charge(randbelow(rng, 10), ret(inner_i)), charge(9 + randbelow(rng, 10), ret(inner_s)), sealed_beh_eq())
+        mid_s = Sealed(charge(randbelow(rng, 10), ret(inner_i)), charge(9 + randbelow(rng, 10), ret(inner_s)), sealed_beh_eq())
         sss = Sealed(
-            charge(rng.randrange(10), ret(mid_i)),
-            charge(9 + rng.randrange(10), ret(mid_s)),
+            charge(randbelow(rng, 10), ret(mid_i)),
+            charge(9 + randbelow(rng, 10), ret(mid_s)),
             sealed_beh_eq(sealed_beh_eq()),
         )
         flat_twice = seal_join(seal_join(sss))
@@ -325,9 +329,7 @@ def sealing_laws(rb: ReportBuilder) -> None:
                 ),
             )
 
-    # global validity sweep over everything constructed above
-    bad = [s for s in ledger if not (s.impl.cost <= s.spec.cost and s.beh_eq(s.impl.value, s.spec.value))]
-    rb.case(not bad, "seal/validity-sweep", lambda: (f"{len(ledger)} seals", "all valid", f"{len(bad)} invalid"))
+    rb.case(not bad, "seal/validity-sweep", lambda: (f"{swept} seals", "all valid", f"{bad} invalid"))
 
 
 # ---------------------------------------------------------------------------
@@ -402,9 +404,9 @@ def _run_coherence_trace(
 
         if quotient_rng is not None and rb.check_beh:
             image = image_of(bat)
-            cut = quotient_rng.randrange(len(image) + 1)
-            alt = BatchedQueueState(tuple(reversed(image[cut:])), image[:cut])
-            probe_e = quotient_rng.randrange(100)
+            cut = randbelow(quotient_rng, len(image) + 1)
+            alt = BatchedQueueState(image[cut:][::-1], image[:cut])
+            probe_e = randbelow(quotient_rng, 100)
             same_enq = abstract_equal(
                 batched_enqueue(probe_e, bat).value,
                 batched_enqueue(probe_e, alt).value,
@@ -448,11 +450,11 @@ def exhaustive_traces(max_len: int, alphabet: Sequence[Any]) -> List[Tuple[Tuple
 
 
 def random_trace(rng: random.Random, max_len: int = 200) -> Tuple[Tuple[str, Tuple[Any, ...]], ...]:
-    length = rng.randrange(max_len + 1)
+    length = randbelow(rng, max_len + 1)
     ops = []
     for _ in range(length):
         if rng.random() < 0.6:
-            ops.append(("enqueue", (rng.randrange(100),)))
+            ops.append(("enqueue", (randbelow(rng, 100),)))
         else:
             ops.append(("dequeue", ()))
     return tuple(ops)

@@ -16,6 +16,7 @@ from costglue.cli import emit_json
 from costglue.cost import Charged, Cost
 from costglue.phase import EvaluationMode
 from costglue.rbtree import Node
+from costglue.sealing import Sealed
 
 FULL = EvaluationMode.FULL
 BEHAVIORAL = EvaluationMode.BEHAVIORAL
@@ -67,6 +68,15 @@ def stale_size_append(t1, t2):
         object.__setattr__(stale, "size", t.size + 1)
         return Charged(out.cost, stale)
     return out
+
+
+def bound_skipping_seal_charge(c, s):
+    """Charges the implementation but not the bound, past ``Sealed``'s own check."""
+    forged = object.__new__(Sealed)
+    Sealed.impl.__set__(forged, cost.charge(c, s.impl))
+    Sealed.spec.__set__(forged, s.spec)
+    Sealed.beh_eq.__set__(forged, s.beh_eq)
+    return forged
 
 
 # (cases, SHA-1 of the emitted report) of rbtree/invariants at seed 0 and
@@ -171,6 +181,16 @@ def test_cost_laws_record_an_overcharging_charge(monkeypatch) -> None:
     rep = suites.REGISTRY["cost/laws"](0, 2, FULL)
     assert rep.cases == 20
     assert _records(rep) == COST_RECORDS
+
+
+def test_seal_validity_sweep_judges_every_seal_it_counts(monkeypatch) -> None:
+    monkeypatch.setattr(suites, "seal_charge", bound_skipping_seal_charge)
+    rep = suites.REGISTRY["sealing/laws"](0, 40, FULL)
+    # The sweep counts the 3 seals of each iteration; 22 of the 40 forged
+    # ones are charged past their bound.
+    assert _records(rep)[-1] == ("seal/validity-sweep", "'120 seals'", "'all valid'", "'22 invalid'")
+    assert (rep.cases, hashlib.sha1(emit_json(rep).encode()).hexdigest()) == (
+        481, "02c15609d444284117ee9830e14f35edde86f44c")
 
 
 @pytest.mark.parametrize("mode", [FULL, BEHAVIORAL])

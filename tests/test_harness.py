@@ -25,6 +25,7 @@ from costglue.harness import (
     derive_rng,
     fold_elements,
     geometric_size,
+    randbelow,
     random_items,
     render,
 )
@@ -65,6 +66,35 @@ class TestRngDiscipline:
         assert max(sizes) == 50  # the tail does get exercised
 
 
+class DrawLimitedStub:
+    """Draws zeros, and fails instead of hanging if asked too often."""
+
+    calls = 0
+
+    def getrandbits(self, k: int) -> int:
+        self.calls += 1
+        if self.calls > 100:
+            raise AssertionError("drew without end from an empty range")
+        return 0
+
+
+class TestRandbelow:
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 50, 100, 201, 2000, 2**33 + 1])
+    def test_same_draws_and_state_as_randrange(self, n: int) -> None:
+        mine, theirs = random.Random(f"below:{n}"), random.Random(f"below:{n}")
+        for _ in range(500):
+            assert randbelow(mine, n) == theirs.randrange(n)
+            assert -n + randbelow(mine, 2 * n) == theirs.randrange(-n, n)
+            assert mine.getstate() == theirs.getstate()
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_an_empty_range_raises(self, n: int) -> None:
+        with pytest.raises(ValueError):
+            random.Random(0).randrange(n)
+        with pytest.raises(ValueError):
+            randbelow(DrawLimitedStub(), n)
+
+
 class TestRandomItems:
     @pytest.mark.parametrize("bound", [1, 2, 3, 64, 100, 1000, 2**33 + 1])
     @pytest.mark.parametrize("n", [0, 1, 40, 512])
@@ -75,21 +105,10 @@ class TestRandomItems:
 
     @pytest.mark.parametrize("bound", [0, -1])
     def test_an_empty_range_raises(self, bound: int) -> None:
-        class Stub:
-            """Draws zeros, and fails instead of hanging if asked too often."""
-
-            calls = 0
-
-            def getrandbits(self, k: int) -> int:
-                self.calls += 1
-                if self.calls > 100:
-                    raise AssertionError("drew without end from an empty range")
-                return 0
-
         with pytest.raises(ValueError):
             random.Random(0).randrange(bound)
         with pytest.raises(ValueError):
-            random_items(Stub(), bound, 3)
+            random_items(DrawLimitedStub(), bound, 3)
 
 
 class TestRender:

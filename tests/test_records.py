@@ -58,6 +58,12 @@ def test_equality_and_hash() -> None:
     assert hash(BatchedQueueState((3,), (1,))) == hash(((3,), (1,)))
     assert BatchedQueueState() == BatchedQueueState((), ()) != BatchedQueueState((1,), ())
     assert ListQueueState((1,)) == ListQueueState((1,)) != ListQueueState()
+    assert (Cost(1) == 1) is False and (1 == Cost(1)) is False and Cost(1) != 1
+    total = Cost(2) + Cost(3)
+    assert total == Cost(5) and Cost(5) == total and hash(total) == hash(Cost(5)) == hash((5,))
+    assert {total: "x"}[Cost(5)] == "x"
+    for impl, spec, overrun in ((3, 3, False), (4, 3, True), (2, 3, False)):
+        assert BoundViolation(Cost(impl), Cost(spec), False).cost_overrun is overrun
 
 
 def test_ordering() -> None:
@@ -65,6 +71,15 @@ def test_ordering() -> None:
     assert Cost(1) < Cost(2) <= Cost(2) and Cost(3) > Cost(2) >= Cost(2)
     with pytest.raises(TypeError):
         Cost(1) < 2  # noqa: B015
+    with pytest.raises(TypeError):
+        Cost(1) <= 1  # noqa: B015
+    with pytest.raises(TypeError):
+        Cost(1) >= 1  # noqa: B015
+    costs = [Cost(2), Cost(0), Cost(7), Cost(2)]
+    assert max(costs) == Cost(7) and min(costs) == Cost(0)
+    assert sorted(costs) == [Cost(0), Cost(2), Cost(2), Cost(7)]
+    assert sorted(costs, reverse=True) == [Cost(7), Cost(2), Cost(2), Cost(0)]
+    assert not Cost(2) < Cost(2) and not Cost(2) > Cost(2) and Cost(2) >= Cost(2) <= Cost(2)
     with pytest.raises(TypeError):
         Charged(Cost(1), 1) < Charged(Cost(2), 1)  # noqa: B015
 

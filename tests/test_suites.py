@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import cProfile
 import pstats
+import tracemalloc
 
 import pytest
 
@@ -77,6 +78,28 @@ def test_zero_iterations_is_lawful() -> None:
     for name in ALL_SUITES:
         rep = REGISTRY[name](seed=0, iterations=0, mode=EvaluationMode.FULL)
         assert rep.passed
+
+
+def _peak_bytes(run) -> int:
+    """The ``tracemalloc`` peak while ``run()`` executes."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_seal_laws_run_in_constant_memory() -> None:
+    # The validity sweep keeps counts, not seals, so ten times the
+    # iterations must not raise the peak (a kept ledger of the three seals
+    # of each iteration adds ~0.65 KB per iteration).
+    def peak(iterations: int) -> int:
+        return _peak_bytes(lambda: REGISTRY["sealing/laws"](0, iterations, EvaluationMode.FULL))
+
+    peak(200)  # warm-up: first-call caches are not the suite's memory
+    small, large = peak(200), peak(2000)
+    assert large - small <= 32 * 1024, (small, large)
 
 
 def _calls(run, *functions) -> list[int]:
