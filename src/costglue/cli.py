@@ -5,8 +5,8 @@ fixed configuration and emits its report as JSON (default) or markdown;
 ``costglue list`` enumerates the registry.  Reports are pure functions
 of (suite, seed, iterations, mode): two runs with the same configuration
 produce byte-identical output.  Exit status is 0 when every case
-passed, 1 on any failed case or internal invariant breach, and 2 for
-usage errors, an unwritable report path among them.
+passed, 1 on a failed case or an ``InvariantBreach`` (any other error
+propagates), and 2 for usage errors, an unwritable report path too.
 """
 
 from __future__ import annotations
@@ -20,8 +20,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .harness import Report
-from .phase import CoherenceError, EvaluationMode
-from .sealing import BoundViolation
+from .phase import EvaluationMode, InvariantBreach
 from .suites import REGISTRY
 
 MAX_SEED = 2**64 - 1
@@ -181,7 +180,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         try:
             report = run_suite(config)
-        except (CoherenceError, BoundViolation, ValueError, OverflowError) as err:
+        except InvariantBreach as err:
             print(f"costglue: internal invariant breach: {err}", file=sys.stderr)
             return 1
         text = EMITTERS[args.format](report)

@@ -4,8 +4,8 @@ An ``AbstractionFn`` maps concrete representations into an abstract
 carrier equipped with its own notion of equality.  A ``GluedValue``
 carries a concrete value, a claimed abstract value, and the abstraction
 function relating them; the coherence condition (the image of the
-concrete half equals the claimed abstract half) is checked at
-construction and can therefore never be violated by a live object.
+concrete half equals the claimed abstract half) is checked by a direct
+``__init__`` before any field is stored, so no live object violates it.
 
 An abstraction function may also carry an exact ``kernel``: a test of
 whether two representations have equal images that need not build
@@ -45,7 +45,11 @@ class EvaluationMode(Enum):
     BEHAVIORAL = "behavioral"
 
 
-class CoherenceError(Exception):
+class InvariantBreach(Exception):
+    """A checked invariant does not hold; ``costglue run`` reports it as a breach."""
+
+
+class CoherenceError(InvariantBreach):
     """Raised when a claimed abstract value disagrees with the computed image."""
 
     def __init__(self, computed: Any, claimed: Any):
@@ -85,7 +89,7 @@ def last_image(apply: Callable[[C], A]) -> Callable[[C], A]:
     return image
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class GluedValue(Generic[C, A]):
     """A coherent (concrete, abstract) pair under a fixed abstraction function."""
 
@@ -93,10 +97,16 @@ class GluedValue(Generic[C, A]):
     abstract: A
     alpha: AbstractionFn[C, A]
 
-    def __post_init__(self) -> None:
-        image = self.alpha.apply(self.concrete)
-        if not self.alpha.abs_eq(image, self.abstract):
-            raise CoherenceError(image, self.abstract)
+    def __init__(self, concrete: C, abstract: A, alpha: AbstractionFn[C, A]) -> None:
+        image = alpha.apply(concrete)
+        if not alpha.abs_eq(image, abstract):
+            raise CoherenceError(image, abstract)
+        _set_concrete(self, concrete)
+        _set_abstract(self, abstract)
+        _set_alpha(self, alpha)
+
+
+_set_concrete, _set_abstract, _set_alpha = (getattr(GluedValue, f).__set__ for f in GluedValue.__slots__)
 
 
 def glue(concrete: C, abstract: A, alpha: AbstractionFn[C, A]) -> GluedValue[C, A]:

@@ -30,7 +30,9 @@ while its whole pool is known valid and falls back to ``validate`` and
 
 Trees are frozen, slotted records; a ``Node`` is built by a direct
 ``__init__`` that runs ``__post_init__`` once to check child heights and
-cache ``black_height`` and ``size``.
+cache ``black_height`` and ``size``.  ``from_iterable`` builds the tree
+the ``append`` fold over singletons builds, colors included, one ``Node``
+per internal node, by replaying ``_join_right`` on stacks of its spine.
 
 ``mapreduce`` folds a tree into any monoid by replacing constructors
 with the target's operations; ``reduce`` is the element fold with an
@@ -46,13 +48,17 @@ from typing import Any, Callable, Iterable, List, Optional, Tuple
 
 from .cost import Charged, Cost, ret
 from .harness import MonoidOps
-from .phase import AbstractionFn, last_image
+from .phase import AbstractionFn, InvariantBreach, last_image
 
 # Cost of append is bounded by APPEND_BOUND_FACTOR * (|bh1 - bh2| + 2).
 # One spine step builds at most four nodes (a red rebuild plus a
 # rotation), and promoting the two roots to black adds at most two more,
 # which the +2 slack absorbs; measured worst cases sit well inside this.
 APPEND_BOUND_FACTOR = 4
+
+
+class TreeInvariantError(InvariantBreach, ValueError):
+    """A node breaks the red-black invariant or a cached field is stale."""
 
 
 class Color(Enum):
@@ -112,7 +118,7 @@ class Node(RBTree):
         left, right = self.left, self.right
         lbh = left.black_height
         if lbh != right.black_height:
-            raise ValueError(f"child black heights differ: {lbh} vs {right.black_height}")
+            raise TreeInvariantError(f"child black heights differ: {lbh} vs {right.black_height}")
         _set_black_height(self, lbh + 1 if self.color is Color.BLACK else lbh)
         _set_size(self, left.size + right.size)
 
@@ -213,7 +219,7 @@ ELEMENTS_ALPHA: AbstractionFn = AbstractionFn(apply=last_image(elements), kernel
 def validate(t: RBTree) -> None:
     """Audit the full invariant, cached fields included.
 
-    Raises ``ValueError`` at the first breach: a red node with a red
+    Raises ``TreeInvariantError`` at the first breach: a red node with a red
     child, children of unequal black height, or a stale cache.
     """
     _validate(t)
@@ -261,14 +267,14 @@ def _validate(t: RBTree) -> None:
         if node is _JOIN:
             breach = _breach(pop())
             if breach is not None:
-                raise ValueError(breach)
+                raise TreeInvariantError(breach)
         elif isinstance(node, Node):
             push(node)
             push(_JOIN)
             push(node.right)
             push(node.left)
         elif not isinstance(node, (Leaf, Empty)):
-            raise ValueError(f"not a tree: {node!r}")
+            raise TreeInvariantError(f"not a tree: {node!r}")
 
 
 def audit_concat(t: RBTree, a: RBTree, b: RBTree) -> bool:
@@ -381,10 +387,29 @@ def _join_left(t1: RBTree, t2: RBTree, new: Callable[..., Node]) -> RBTree:
 
 
 def from_iterable(items: Iterable[Any]) -> RBTree:
-    """Build a sequence by appending singletons; costs are discarded."""
-    t = EMPTY
+    """The tree the fold of ``append`` over singletons builds, in linear time.
+
+    Per leaf, on stacks of the right spine's colors and left children, root
+    first, then the last leaf: blacken a red root, push red, and rotate away
+    each black-red-red run, building one node; build the spine at the end.
+    """
+    red, black = Color.RED, Color.BLACK
+    colors: List[Color] = []
+    lefts: List[RBTree] = []
     for e in items:
-        t = append(t, Leaf(e)).value
+        if lefts:
+            if colors and colors[0] is red:
+                colors[0] = black
+            colors.append(red)
+            i = len(colors) - 3
+            while i >= 0 and colors[i:i + 3] == [black, red, red]:  # _join_right's rotation
+                colors[i:i + 3] = red, black
+                lefts[i:i + 3] = Node(black, lefts[i], lefts[i + 1]), lefts[i + 2]
+                i -= 2
+        lefts.append(Leaf(e))
+    t = lefts[-1] if lefts else EMPTY
+    for i in range(len(colors) - 1, -1, -1):
+        t = Node(colors[i], lefts[i], t)
     return t
 
 

@@ -20,11 +20,12 @@ from dataclasses import dataclass, field
 from typing import Callable, Generic, TypeVar
 
 from .cost import Charged, CostLike, bind, charge, leq, ret
+from .phase import InvariantBreach
 
 T = TypeVar("T")
 
 
-class BoundViolation(Exception):
+class BoundViolation(InvariantBreach):
     """A claimed specification does not dominate its implementation.
 
     Distinguishes a cost overrun (implementation dearer than the spec)

@@ -11,6 +11,9 @@ from costglue import cli, suites
 from costglue.cli import emit_markdown, main
 from costglue.cost import Charged, Cost
 from costglue.harness import Failure, Report
+from costglue.phase import CoherenceError
+from costglue.rbtree import TreeInvariantError
+from costglue.sealing import BoundViolation
 from costglue.sorting import msort_bound
 from costglue.suites import REGISTRY
 
@@ -206,7 +209,7 @@ class TestUsageErrors:
 
     def test_breach_leaves_an_existing_report_as_it_was(self, tmp_path, capsys, monkeypatch) -> None:
         def blows_up(seed, iters, mode):
-            raise ValueError("cached size went stale")
+            raise TreeInvariantError("cached size went stale")
 
         monkeypatch.setitem(REGISTRY, "exploding", blows_up)
         path = tmp_path / "r.json"
@@ -257,13 +260,38 @@ class TestFailurePath:
 
     def test_internal_breach_exits_1(self, capsys, monkeypatch) -> None:
         def blows_up(seed, iters, mode):
-            raise ValueError("cached size went stale")
+            raise TreeInvariantError("cached size went stale")
 
         monkeypatch.setitem(REGISTRY, "exploding", blows_up)
         code, out, err = run_cli(capsys, "run", "--suite", "exploding")
         assert code == 1
         assert out == ""
         assert "invariant breach" in err
+
+    @pytest.mark.parametrize("breach", [
+        CoherenceError((1, 2), (2, 1)),
+        BoundViolation(Cost(3), Cost(2), False),
+    ], ids=lambda e: type(e).__name__)
+    def test_the_other_invariant_breaches_are_verdicts(self, capsys, monkeypatch, breach) -> None:
+        def blows_up(seed, iters, mode):
+            raise breach
+
+        monkeypatch.setitem(REGISTRY, "exploding", blows_up)
+        code, out, err = run_cli(capsys, "run", "--suite", "exploding")
+        assert (code, out, err) == (1, "", f"costglue: internal invariant breach: {breach}\n")
+
+    @pytest.mark.parametrize("bug", [KeyError("suite"), ValueError("a plain bug")], ids=lambda e: type(e).__name__)
+    def test_other_errors_are_not_verdicts(self, capsys, monkeypatch, bug) -> None:
+        def crashes(seed, iters, mode):
+            raise bug
+
+        monkeypatch.setitem(REGISTRY, "crashing", crashes)
+        with pytest.raises(type(bug)) as info:
+            main(["run", "--suite", "crashing"])
+        assert info.value is bug
+        captured = capsys.readouterr()
+        assert "internal invariant breach" not in captured.err
+        assert captured.out == ""
 
 
 class TestEmitters:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import sys
 
 import pytest
@@ -11,6 +12,7 @@ from costglue.phase import (
     AbstractionFn,
     CoherenceError,
     GluedValue,
+    InvariantBreach,
     abstract_equal,
     fracture,
     glue,
@@ -45,6 +47,12 @@ class TestGlue:
     def test_direct_construction_is_also_checked(self) -> None:
         with pytest.raises(CoherenceError):
             GluedValue(BatchedQueueState((), ()), (7,), BATCHED_ALPHA)
+        s, wrong = BatchedQueueState(inbox=(3,), outbox=(1, 2)), (3, 2, 1)
+        with pytest.raises(CoherenceError) as info:
+            GluedValue(s, wrong, BATCHED_ALPHA)
+        assert info.value.claimed is wrong
+        assert info.value.computed == (1, 2, 3)
+        assert isinstance(info.value, InvariantBreach)
 
     @given(batched_states)
     def test_fracture_inverts_glue(self, s: BatchedQueueState) -> None:
@@ -61,6 +69,51 @@ class TestGlue:
         image = rev_append(s)
         with pytest.raises(CoherenceError):
             glue(s, image + (999,), BATCHED_ALPHA)
+
+
+class TestSlottedGluedValue:
+    """The slotted ``GluedValue``: its direct ``__init__``, ``replace``, ``==``, ``hash`` and ``repr``.
+
+    That it is frozen and has no ``__dict__`` is checked with the other
+    records in ``tests/test_records.py``.
+    """
+
+    def glued(self) -> GluedValue:
+        return glue(BatchedQueueState(inbox=(3,), outbox=(1, 2)), (1, 2, 3), BATCHED_ALPHA)
+
+    def test_replace_is_checked_too(self) -> None:
+        g, wrong = self.glued(), (1, 2)
+        with pytest.raises(CoherenceError) as info:
+            dataclasses.replace(g, abstract=wrong)
+        assert info.value.claimed is wrong
+        assert info.value.computed == (1, 2, 3)
+        flushed = BatchedQueueState(inbox=(), outbox=(1, 2, 3))
+        assert dataclasses.replace(g, concrete=flushed).concrete is flushed
+
+    def test_the_check_runs_once_before_any_field_is_stored(self) -> None:
+        reads = []
+        alpha = AbstractionFn(apply=lambda s: reads.append(s) or rev_append(s))
+        s = BatchedQueueState(inbox=(3,), outbox=(1, 2))
+        blank = object.__new__(GluedValue)
+        with pytest.raises(CoherenceError):
+            blank.__init__(s, (9,), alpha)
+        assert not any(hasattr(blank, f.name) for f in dataclasses.fields(GluedValue))
+        assert reads == [s]
+        GluedValue(s, (1, 2, 3), alpha)
+        assert reads == [s, s]
+
+    def test_equality_hash_and_repr_are_the_generated_ones(self) -> None:
+        g = self.glued()
+        s = BatchedQueueState(inbox=(3,), outbox=(1, 2))
+        assert g == glue(s, (1, 2, 3), BATCHED_ALPHA)
+        assert g != glue(BatchedQueueState(inbox=(), outbox=(1, 2, 3)), (1, 2, 3), BATCHED_ALPHA)
+        assert g != (s, (1, 2, 3), BATCHED_ALPHA)
+        assert hash(g) == hash((s, (1, 2, 3), BATCHED_ALPHA))
+        assert repr(g) == (
+            "GluedValue(concrete=BatchedQueueState(inbox=(3,), outbox=(1, 2)), abstract=(1, 2, 3), "
+            f"alpha={BATCHED_ALPHA!r})"
+        )
+        assert [f.name for f in dataclasses.fields(GluedValue)] == ["concrete", "abstract", "alpha"]
 
 
 class TestProjection:

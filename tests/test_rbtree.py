@@ -18,6 +18,7 @@ from costglue.rbtree import (
     Leaf,
     Node,
     RBTree,
+    TreeInvariantError,
     append,
     append_bound,
     audit_concat,
@@ -30,7 +31,7 @@ from costglue.rbtree import (
     singleton,
     validate,
 )
-from costglue.phase import abstract_equal
+from costglue.phase import InvariantBreach, abstract_equal
 
 elems = st.integers(min_value=0, max_value=999)
 
@@ -97,6 +98,44 @@ class TestConstruction:
         # check validate on a healthy tree instead and on elements order.
         t = from_iterable(range(9))
         validate(t)
+
+
+def append_fold(items) -> RBTree:
+    """The tree folding ``append`` over singletons builds."""
+    t: RBTree = EMPTY
+    for e in items:
+        t = append(t, Leaf(e)).value
+    return t
+
+
+class TestFromIterable:
+    """``from_iterable`` builds the very tree the ``append`` fold builds, colors included."""
+
+    def test_equals_the_fold_at_every_size_and_around_powers_of_two(self) -> None:
+        sizes = set(range(1101)) | {2**k + d for k in range(1, 14) for d in (-1, 0, 1)}
+        t: RBTree = EMPTY  # the fold over range(n), grown one append at a time
+        for n in range(max(sizes) + 1):
+            if n in sizes:
+                assert from_iterable(range(n)) == t, n
+            t = append(t, Leaf(n)).value
+        assert t.size == 2**13 + 2
+
+    @given(st.lists(st.one_of(st.none(), st.text(max_size=2), st.integers(0, 3), st.just("same")), max_size=200))
+    def test_equals_the_fold_on_mixed_values(self, xs: list) -> None:
+        t = from_iterable(xs)
+        assert t == append_fold(xs)
+        assert elements(t) == tuple(xs)
+        audit(t)
+
+    def test_reads_a_one_shot_generator_once(self) -> None:
+        t = from_iterable(k * k for k in range(100))
+        assert t == append_fold(k * k for k in range(100))
+        assert elements(t) == tuple(k * k for k in range(100))
+
+    def test_empty_input_is_the_empty_tree(self) -> None:
+        assert from_iterable(()) is EMPTY
+        assert from_iterable(iter([])) is EMPTY
+        assert from_iterable([None]) == Leaf(None)
 
 
 class TestAppend:
@@ -439,6 +478,13 @@ class TestValidate:
     def test_non_tree_child(self) -> None:
         with pytest.raises(ValueError, match="not a tree: 'x'"):
             validate(forge(Color.BLACK, Leaf(1), "x", 1, 2))
+
+    def test_breaches_are_tree_invariant_errors(self) -> None:
+        with pytest.raises(TreeInvariantError, match="red node with a red child") as info:
+            validate(red_chain(3))
+        assert isinstance(info.value, InvariantBreach) and isinstance(info.value, ValueError)
+        with pytest.raises(TreeInvariantError, match="child black heights differ"):
+            Node(Color.BLACK, Node(Color.BLACK, Leaf(1), Leaf(2)), Leaf(3))
 
 
 class TestDeepFolds:

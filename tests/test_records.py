@@ -10,7 +10,8 @@ import pytest
 
 from costglue import cost, rbtree, sealing
 from costglue.cost import MAX_COST, ONE, ZERO, Charged, Cost, bind, charge, ret
-from costglue.queues import BatchedQueueState, ListQueueState, batched_enqueue, list_enqueue
+from costglue.phase import glue
+from costglue.queues import BATCHED_ALPHA, BatchedQueueState, ListQueueState, batched_enqueue, list_enqueue
 from costglue.rbtree import EMPTY, Color, Empty, Leaf, Node
 from costglue.sealing import BoundViolation, Sealed, seal
 
@@ -25,6 +26,7 @@ def records() -> list:
         EMPTY,
         Leaf(1),
         Node(Color.RED, Leaf(1), Leaf(2)),
+        glue(BatchedQueueState((3,), (1, 2)), (1, 2, 3), BATCHED_ALPHA),
     ]
 
 
@@ -185,6 +187,14 @@ def test_unequal_child_black_heights_still_raise() -> None:
         Node(Color.RED, tall, Leaf(3))
     with pytest.raises(ValueError, match="child black heights differ: 0 vs 1"):
         Node(Color.BLACK, Leaf(3), tall)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 7, 8, 9, 100, 1025])
+def test_from_iterable_builds_one_node_per_internal_node(n: int) -> None:
+    tree = []
+    calls = post_init_calls(lambda: tree.append(rbtree.from_iterable(range(n))))
+    assert calls == {"Cost": 0, "Charged": 0, "Sealed": 0, "Node": max(n - 1, 0)}
+    assert tree[0].size == n
 
 
 def test_one_node_post_init_per_node_append_builds() -> None:
