@@ -11,7 +11,10 @@ configuration, derives the RNG streams (``rb.rng(stream)``), gates what
 the mode may observe (``rb.check_beh``, ``rb.check_cost``,
 ``rb.check_concrete``), and every checker records straight into it, so
 the ``Report`` it builds is reproducible byte for byte from its
-configuration.
+configuration.  A gated law records nothing: the monoid, homomorphism,
+universal-property and noninterference checkers return before sampling
+when ``rb.check_beh`` is off, and ``commute`` then records no case, so
+``Report.cases`` counts judged cases only.
 
 Every case is recorded through ``ReportBuilder.case(ok, law, detail)``.
 ``detail`` is a zero-argument callable returning the ``(input, expected,
@@ -139,21 +142,26 @@ class Report:
 class ReportBuilder:
     """One sweep: its configuration, RNG streams, mode gates and outcomes.
 
-    The mode narrows what the sweep may observe:
+    The mode narrows what the sweep may observe, and so what it records:
 
-    * ``FULL``       checks everything: abstract agreement and cost.
-    * ``ABSTRACT``   the same gates as FULL but the concrete audits, so
+    * ``FULL``       judges abstract agreement, cost and the concrete
+                     audits, and records cost tables.
+    * ``ABSTRACT``   the same as FULL but the concrete audits, so
                      ``rbtree/invariants`` drops ``validate`` (222 cases
                      against 282 at seed 0, 60 iterations).
-    * ``BEHAVIORAL`` checks abstract agreement only; cost is erased.
-    * ``CONCRETE``   runs implementations, audits them and records cost
-                     tables without judging abstract agreement.
+    * ``BEHAVIORAL`` judges abstract agreement only.  Cost is out of
+                     view: no law reads it and ``cost_row`` records nothing.
+    * ``CONCRETE``   runs implementations, judges the concrete audits and
+                     records cost tables; it judges no abstract agreement
+                     and no cost.
 
     ``check_beh``, ``check_cost`` and ``check_concrete`` (audits of
-    representations, such as ``validate``) are those gates.  Cost rows aggregate
-    per size: the table keeps the maximum observed implementation cost and
-    bound for each size, sorted by size, so tables stay small no matter
-    how long the sweep runs.
+    representations, such as ``validate``) are those gates; ``check_cost``
+    implies ``check_beh``.  ``case``, ``equal`` and ``fail`` are the only
+    writers of ``cases``, and a suite calls them only for a law its mode
+    judges.  Cost rows aggregate per size: the table keeps the maximum
+    observed implementation cost and bound for each size, sorted by size,
+    so tables stay small no matter how long the sweep runs.
     """
 
     def __init__(self, suite: str, seed: int, iterations: int,
@@ -195,6 +203,8 @@ class ReportBuilder:
         self.failures.append(Failure(render(input_), render(expected), render(actual), law))
 
     def cost_row(self, size: int, impl_cost: int, spec_cost: int) -> None:
+        if self.mode is EvaluationMode.BEHAVIORAL:  # cost is out of view
+            return
         row = self._costs.setdefault(size, [0, 0])
         row[0] = max(row[0], impl_cost)
         row[1] = max(row[1], spec_cost)
@@ -243,17 +253,20 @@ def commute(rb: ReportBuilder, square: SquareSpec, x: Any) -> Tuple[Charged[Any]
     """Check that ``square`` commutes at ``x``: one case, both paths returned.
 
     Behavior must agree under ``alpha_out`` when ``rb.check_beh``; costs
-    must be equal (strict) or bounded (lax) when ``rb.check_cost``.
-    Returns the concrete and the abstract result, so a caller can step a
-    trace or record a cost row.
+    must be equal (strict) or bounded (lax) when ``rb.check_cost``; with
+    neither gate on no case is recorded.  Returns the concrete and the
+    abstract result, so a caller can step a trace or record a cost row.
     """
     top = square.f_top(x)
     bottom = square.f_abs(square.alpha_in.apply(x))
+    if not rb.check_beh:  # and so not check_cost either
+        return top, bottom
     mapped = square.alpha_out.apply(top.value)
-    beh_ok = not rb.check_beh or square.alpha_out.abs_eq(mapped, bottom.value)
-    cost_ok = not rb.check_cost or (top.cost <= bottom.cost if square.lax else top.cost == bottom.cost)
+    ok = square.alpha_out.abs_eq(mapped, bottom.value)
+    if rb.check_cost:
+        ok = ok and (top.cost <= bottom.cost if square.lax else top.cost == bottom.cost)
     rb.case(
-        bool(beh_ok and cost_ok),
+        bool(ok),
         square.law,
         lambda: (
             x,
@@ -290,33 +303,29 @@ def check_square(
 def check_noninterference(
     rb: ReportBuilder,
     stream: str,
-    client: Callable[[Any, Any], Any],
-    impls: Sequence[Tuple[str, Any]],
+    programs: Sequence[Tuple[str, Callable[[Any], Any]]],
     inputs: Callable[[random.Random], Any],
     n: int,
 ) -> None:
-    """Swap implementations under a client; its outputs must be equal.
+    """Named one-argument programs must agree on every sampled input.
 
-    Every pair of implementations is compared on every sampled input, so
-    agreement is symmetric and transitive across the whole family by
-    construction.
+    A client run over each implementation is one program; a reference
+    (oracle) program is one more member.  Every pair is compared with
+    ``==`` on every input, so agreement is symmetric and transitive
+    across the whole family by construction.  Outputs are behavior, so
+    nothing is sampled unless ``rb.check_beh``.
     """
-    if len(impls) < 2:
-        raise ValueError("noninterference needs at least two implementations")
+    if len(programs) < 2:
+        raise ValueError("noninterference needs at least two programs")
+    if not rb.check_beh:
+        return
     rng = rb.rng(stream)
     for _ in range(n):
         x = inputs(rng)
-        outs = [(name, client(impl, x)) for name, impl in impls]
-        for i in range(len(outs)):
-            for j in range(i + 1, len(outs)):
-                ni, oi = outs[i]
-                nj, oj = outs[j]
-                ok = (not rb.check_beh) or oi == oj
-                rb.case(
-                    ok,
-                    f"noninterference/{ni}~{nj}",
-                    lambda: (x, render(oi), render(oj)),
-                )
+        outs = [(name, program(x)) for name, program in programs]
+        for i, (ni, oi) in enumerate(outs):
+            for nj, oj in outs[i + 1:]:
+                rb.case(oi == oj, f"noninterference/{ni}~{nj}", lambda: (x, render(oi), render(oj)))
 
 
 # -- abstract algebraic laws ----------------------------------------------
@@ -362,13 +371,12 @@ def check_abstract_monoid(
     and cached fields cannot fail the laws.  With ``alpha.kernel`` no
     image is built unless a law fails, when both are rendered.
     """
+    if not rb.check_beh:
+        return
     rng = rb.rng(stream)
     image = alpha.apply
     for _ in range(n):
         a, b, c = inputs(rng), inputs(rng), inputs(rng)
-        if not rb.check_beh:
-            rb.cases += 3
-            continue
         left = append(append(a, b).value, c).value
         right = append(a, append(b, c).value).value
         rb.case(
@@ -401,6 +409,8 @@ def check_abstract_hom(
     images.  ``inputs`` yields (source value, source value, element)
     triples; ``alphas`` is (source abstraction, destination abstraction).
     """
+    if not rb.check_beh:
+        return
     alpha_src, alpha_dst = alphas
     rng = rb.rng(stream)
     image = alpha_dst.apply
@@ -408,7 +418,7 @@ def check_abstract_hom(
 
     f_empty = f(src_ops.empty).value
     rb.case(
-        (not rb.check_beh) or eq(image(f_empty), image(dst_ops.empty)),
+        eq(image(f_empty), image(dst_ops.empty)),
         "hom/empty",
         lambda: (
             render(alpha_src.apply(src_ops.empty)),
@@ -418,9 +428,6 @@ def check_abstract_hom(
     )
     for _ in range(n):
         x1, x2, e = inputs(rng)
-        if not rb.check_beh:
-            rb.cases += 2
-            continue
         via_src = f(src_ops.append(x1, x2).value).value
         via_dst = dst_ops.append(f(x1).value, f(x2).value).value
         rb.case(
@@ -463,6 +470,8 @@ def check_universal_property(
     cost must also equal the sum of the costs the target's ``append``
     returned to it, metered by wrapping that ``append``.
     """
+    if not rb.check_beh:
+        return
     rng = rb.rng(stream)
     metered = 0
 
@@ -475,9 +484,6 @@ def check_universal_property(
     ops = MonoidOps(target.ops.empty, metered_append, target.ops.singleton)
     for _ in range(n):
         x = inputs(rng)
-        if not rb.check_beh:
-            rb.cases += 1 + len(extra_homs)
-            continue
         folded = fold_elements(target.ops, seq.alpha.apply(x))
         metered = 0
         out = seq.mapreduce(x, ops)

@@ -127,12 +127,7 @@ def fracture(g: GluedValue[C, A]) -> Tuple[C, A, AbstractionFn[C, A]]:
     return (g.concrete, g.abstract, g.alpha)
 
 
-def spec_member(
-    x: Any,
-    spec: Any,
-    project_to_phase: Callable[[Any], P],
-    eq_p: Callable[[P, P], bool] = operator.eq,
-) -> bool:
+def spec_member(x: Any, spec: Any, project_to_phase: Callable[[Any], P]) -> bool:
     """Does ``x`` inhabit the specification type determined by ``spec``?
 
     Membership is phase-projected: ``x`` belongs when its projection
@@ -140,7 +135,7 @@ def spec_member(
     concrete that the projection forgets (representation choices, cost)
     cannot exclude a candidate.
     """
-    return bool(eq_p(project_to_phase(x), project_to_phase(spec)))
+    return bool(project_to_phase(x) == project_to_phase(spec))
 
 
 def abstract_equal(x: C, y: C, alpha: AbstractionFn[C, A]) -> bool:

@@ -95,9 +95,9 @@ def seal(
     return Sealed(impl, spec, beh_eq)
 
 
-def seal_return(value: T, beh_eq: Callable[[T, T], bool] = operator.eq) -> Sealed[T]:
+def seal_return(value: T) -> Sealed[T]:
     """The unit: a free value is its own specification."""
-    return Sealed(ret(value), ret(value), beh_eq)
+    return Sealed(ret(value), ret(value))
 
 
 def sealed_beh_eq(

@@ -7,9 +7,10 @@ entirely by the builder's RNG streams, derived from ``(seed, suite
 name)``, so a report is a pure function of its configuration.  Law
 suites (cost, sealing, round trips) check module invariants that hold in
 every phase and use the mode only as report metadata; differential
-suites (squares, noninterference, bounds) gate their comparisons through
-the mode: behavioral runs erase cost, concrete runs record costs without
-judging abstract agreement.
+suites (squares, noninterference, bounds) gate their laws through the
+mode, and a law the mode does not judge records nothing: behavioral runs
+judge no law that reads cost and record no cost rows, and concrete runs
+record cost rows and judge only the concrete audits.
 """
 
 from __future__ import annotations
@@ -256,11 +257,8 @@ def sealing_laws(rb: ReportBuilder) -> None:
 
         rb.equal("seal/unseal-abstract", s, spec, unseal_abstract(s))
         rb.equal("seal/unseal-concrete", s, impl, unseal_concrete(s))
-        rb.case(
-            seal(impl, impl).impl == seal(impl, impl).spec,
-            "seal/reflexive",
-            lambda: (impl, render(impl), render(seal(impl, impl).spec)),
-        )
+        refl = seal(impl, impl)
+        rb.case(refl.impl == refl.spec, "seal/reflexive", lambda: (impl, render(impl), render(refl.spec)))
 
         wider = charge(extra, spec)
         r = reseal(s, wider)
@@ -436,8 +434,6 @@ def _run_coherence_trace(
             "queues/amortized-total",
             lambda: (render(tuple(ops)), f"<= {enqueues + spec_dequeue_total}", batched_total),
         )
-    else:
-        rb.cases += 2
 
 
 def exhaustive_traces(max_len: int, alphabet: Sequence[Any]) -> List[Tuple[Tuple[str, Tuple[Any, ...]], ...]]:
@@ -470,11 +466,8 @@ def queues_coherence(rb: ReportBuilder) -> None:
     traces of length at most 200, checking squares stepwise along with
     the amortized cost accounting and quotient soundness.
     """
-    rb.case(
-        (not rb.check_beh) or rev_append(batched_empty()) == list_empty().items,
-        "queues/empty-square",
-        lambda: ("()", "()", render(rev_append(batched_empty()))),
-    )
+    if rb.check_beh:
+        rb.equal("queues/empty-square", batched_empty(), list_empty().items, rev_append(batched_empty()))
 
     image = last_image(rev_append)  # a step's output state is the next step's input
     squares = (_enqueue_square(image), _dequeue_square(image))
@@ -496,7 +489,7 @@ def queues_coherence(rb: ReportBuilder) -> None:
     )
 
     seal_rng = rb.rng("/sealed")
-    for _ in range(rb.iterations):
+    for _ in range(rb.iterations if rb.check_cost else 0):  # a seal judges cost
         s = _random_batched_state(seal_rng)
         try:
             sealed = sealed_dequeue(s)
@@ -548,67 +541,24 @@ def queues_noninterference(rb: ReportBuilder) -> None:
 
     Membership of both implementations in the queue specification is
     established first (with a LIFO stack as the negative control), then
-    the one-element demo and the queue-based list reversal are run
-    against both implementations and compared, with the reversal also
-    checked against the plain reversed-list oracle.
+    the one-element demo and the queue-based list reversal are run on
+    both implementations and compared pairwise with each other and with
+    an oracle member: the identity for the demo, the reversed list for
+    the reversal.
     """
+    if not rb.check_beh:
+        return
     traces = membership_traces(rb.seed)
-    rb.case(
-        queue_spec_member(BATCHED_QUEUE, LIST_QUEUE, traces),
-        "queues/spec-member/batched",
-        lambda: (
-            f"{len(traces)} traces",
-            True,
-            queue_spec_member(BATCHED_QUEUE, LIST_QUEUE, traces),
-        ),
-    )
-    rb.case(
-        queue_spec_member(LIST_QUEUE, LIST_QUEUE, traces),
-        "queues/spec-member/list",
-        lambda: (f"{len(traces)} traces", True, queue_spec_member(LIST_QUEUE, LIST_QUEUE, traces)),
-    )
-    rb.case(
-        not queue_spec_member(STACK_IMPL, LIST_QUEUE, traces),
-        "queues/spec-member/stack-excluded",
-        lambda: (f"{len(traces)} traces", False, queue_spec_member(STACK_IMPL, LIST_QUEUE, traces)),
-    )
+    shown = f"{len(traces)} traces"
+    rb.equal("queues/spec-member/batched", shown, True, queue_spec_member(BATCHED_QUEUE, LIST_QUEUE, traces))
+    rb.equal("queues/spec-member/list", shown, True, queue_spec_member(LIST_QUEUE, LIST_QUEUE, traces))
+    rb.equal("queues/spec-member/stack-excluded", shown, False, queue_spec_member(STACK_IMPL, LIST_QUEUE, traces))
 
-    impls = [("list", LIST_QUEUE), ("batched", BATCHED_QUEUE)]
-    check_noninterference(
-        rb,
-        "/demo",
-        demo,
-        impls,
-        lambda r: r.randrange(100),
-        rb.iterations,
-    )
-    check_noninterference(
-        rb,
-        "/qreverse",
-        qreverse,
-        impls,
-        lambda r: random_items(r, 100, r.randrange(201)),
-        rb.iterations,
-    )
-
-    oracle_rng = rb.rng("/oracle")
-    for _ in range(rb.iterations):
-        items = random_items(oracle_rng, 100, oracle_rng.randrange(201))
-        expected = tuple(reversed(items))
-        for impl_name, impl in impls:
-            got = qreverse(impl, items)
-            rb.case(
-                (not rb.check_beh) or got == expected,
-                f"queues/qreverse-oracle/{impl_name}",
-                lambda: (items, render(expected), render(got)),
-            )
-        e = oracle_rng.randrange(100)
-        for impl_name, impl in impls:
-            rb.case(
-                (not rb.check_beh) or demo(impl, e) == e,
-                f"queues/demo-oracle/{impl_name}",
-                lambda: (e, e, demo(impl, e)),
-            )
+    impls = (("list", LIST_QUEUE), ("batched", BATCHED_QUEUE))
+    demos = [(name, functools.partial(demo, q)) for name, q in impls] + [("oracle", lambda e: e)]
+    check_noninterference(rb, "/demo", demos, lambda r: r.randrange(100), rb.iterations)
+    reversals = [(name, functools.partial(qreverse, q)) for name, q in impls] + [("oracle", lambda xs: xs[::-1])]
+    check_noninterference(rb, "/qreverse", reversals, lambda r: random_items(r, 100, r.randrange(201)), rb.iterations)
 
 
 # ---------------------------------------------------------------------------
@@ -677,9 +627,10 @@ def rbtree_invariants(rb: ReportBuilder) -> None:
             if rb.check_concrete:
                 try:
                     validate(t)
-                    rb.cases += 1
                 except ValueError as err:
                     rb.fail("rbtree/invariant-audit", (render(elements(a)), render(elements(b))), "valid tree", str(err))
+                else:
+                    rb.case(True, "rbtree/invariant-audit", tuple)
             if rb.check_beh:
                 expected = elements(a) + elements(b)
                 got = elements(t)
@@ -824,7 +775,7 @@ def rbtree_reduce(rb: ReportBuilder) -> None:
 
     unit_case = reduce(plus, 0, EMPTY)
     rb.case(
-        unit_case.value == 0 and unit_case.cost.value <= 1,
+        unit_case.value == 0 and (unit_case.cost.value <= 1 if rb.check_cost else True),
         "rbtree/reduce-empty",
         lambda: ("empty tree", "unit at small constant cost", render(unit_case)),
     )
@@ -841,7 +792,9 @@ def sorting_bounds(rb: ReportBuilder) -> None:
     fewer than 5000 iterations) and samples random lists up to length
     512; each run must produce the specification's output with at most
     the budgeted number of comparisons, and each random input's runs must
-    seal under their budgets.  Every sort runs once per input.
+    seal under their budgets.  Every sort runs once per input.  The
+    budget, seal and exact-cost laws read cost, so only the modes that
+    judge cost record them.
     """
     rng = rb.rng()
     algorithms = (
@@ -881,16 +834,20 @@ def sorting_bounds(rb: ReportBuilder) -> None:
         items = random_items(rng, 1000, n)
         expected = sort_spec(items)
         runs = judge(items, expected)
-        try:
-            for out, budget in runs:
-                seal(out, Charged(Cost(budget), expected))
-            rb.cases += 1
-        except BoundViolation as err:
-            rb.fail("sorting/sealed-accepts", items, "both seals valid", render(err))
+        if rb.check_cost:  # a seal judges cost
+            try:
+                for out, budget in runs:
+                    seal(out, Charged(Cost(budget), expected))
+            except BoundViolation as err:
+                rb.fail("sorting/sealed-accepts", items, "both seals valid", render(err))
+            else:
+                rb.case(True, "sorting/sealed-accepts", tuple)
         if rb.check_beh:
             head_i, head_m = (out.value[0] if items else None for out, _ in runs)
             rb.equal("sorting/noninterference-client-head", items, head_m, head_i)
 
+    if not rb.check_cost:  # the laws below read cost
+        return
     frozen = msort((2, 1))
     rb.case(
         frozen == Charged(Cost(1), (1, 2)),

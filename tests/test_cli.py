@@ -251,7 +251,7 @@ class TestFailurePath:
 
         monkeypatch.setattr(suites, "msort", overcharging_msort)
         code, out, err = run_cli(
-            capsys, "run", "--suite", "sorting/bounds", "--iters", "40", "--mode", "behavioral"
+            capsys, "run", "--suite", "sorting/bounds", "--iters", "40", "--mode", "full"
         )
         assert code == 1
         assert "breach" not in err

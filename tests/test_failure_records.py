@@ -85,14 +85,14 @@ TREE_RECORDS = {
     subtree_dropping_append: {
         "full": (282, "316b8a3f47ad7573aaa9bddf4b316fcf920d9604"),
         "abstract": (222, "46331b87b805c911e5dd94b4411cd084d1e655bf"),
-        "concrete": (78, "e01d692f6ba55dc3e025899eb213282e0c2169cb"),
-        "behavioral": (162, "db4f3a88e525baf9015e214ff9b0d36c33ae460b"),
+        "concrete": (60, "44620b33a9f721888a139282432e03628404ad4a"),
+        "behavioral": (162, "28d129f00e572a60c26de0992dfcb6dd0455a573"),
     },
     stale_size_append: {
         "full": (282, "08a7fc0d9e333bc494e86deb88815424d8424805"),
         "abstract": (222, "3d82a8f6a8418fff50e96c0d98ba7e6efac0a1bd"),
-        "concrete": (78, "1a6cde126630d29d35b4c8758b36b3e38d805a04"),
-        "behavioral": (162, "c8a20ef021a3a8540db926d539dcf4201e338619"),
+        "concrete": (60, "496a414ec843b45552ae563d2156c78c6d0f7db7"),
+        "behavioral": (162, "c0e2b8d71d6020203f2c32cadaa733593a0053f1"),
     },
 }
 

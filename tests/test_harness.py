@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import json
 import random
 
@@ -288,7 +289,7 @@ class TestCheckSquare:
         )
         rep = sweep(check_square, square, _const_inputs(3), 4, mode=EvaluationMode.CONCRETE)
         assert rep.passed
-        assert rep.cases == 4
+        assert rep.cases == 0
 
     def test_commute_returns_both_paths_and_records_one_case(self) -> None:
         rb = ReportBuilder("s", 0, 1)
@@ -310,11 +311,14 @@ class TestCheckNoninterference:
     def _items(rng: random.Random) -> list[int]:
         return rng.sample(range(10), k=3)
 
+    @staticmethod
+    def _reversals(*impls) -> list:
+        return [(name, functools.partial(qreverse, q)) for name, q in impls]
+
     def test_lawful_queues_agree(self) -> None:
         rep = sweep(
             check_noninterference,
-            qreverse,
-            [("list", LIST_QUEUE), ("batched", BATCHED_QUEUE)],
+            self._reversals(("list", LIST_QUEUE), ("batched", BATCHED_QUEUE)),
             self._items,
             20,
         )
@@ -326,8 +330,7 @@ class TestCheckNoninterference:
 
         rep = sweep(
             check_noninterference,
-            qreverse,
-            [("list", LIST_QUEUE), ("stack", STACK_IMPL)],
+            self._reversals(("list", LIST_QUEUE), ("stack", STACK_IMPL)),
             self._items,
             10,
         )
@@ -337,8 +340,8 @@ class TestCheckNoninterference:
     def test_three_impls_compare_pairwise(self) -> None:
         rep = sweep(
             check_noninterference,
-            lambda impl, e: qreverse(impl, [e]),
-            [("a", LIST_QUEUE), ("b", BATCHED_QUEUE), ("c", LIST_QUEUE)],
+            [(name, lambda e, q=q: qreverse(q, [e])) for name, q in
+             (("a", LIST_QUEUE), ("b", BATCHED_QUEUE), ("c", LIST_QUEUE))],
             lambda rng: rng.randrange(9),
             4,
         )
@@ -346,7 +349,15 @@ class TestCheckNoninterference:
 
     def test_needs_two_impls(self) -> None:
         with pytest.raises(ValueError):
-            sweep(check_noninterference, qreverse, [("only", LIST_QUEUE)], self._items, 1)
+            sweep(check_noninterference, self._reversals(("only", LIST_QUEUE)), self._items, 1)
+
+    def test_a_wrong_program_fails_against_the_oracle(self) -> None:
+        from costglue.suites import STACK_IMPL
+
+        programs = self._reversals(("stack", STACK_IMPL)) + [("oracle", lambda xs: tuple(xs)[::-1])]
+        rep = sweep(check_noninterference, programs, self._items, 10)
+        assert rep.failures and {f.law for f in rep.failures} == {"noninterference/stack~oracle"}
+        assert rep.cases == 10
 
 
 class TestCheckAbstractMonoid:
@@ -478,11 +489,12 @@ class TestUniversalProperty:
         assert {f.law for f in rep.failures} == {"universal/sum/cost-metered"}
         failure = rep.failures[0]
         assert int(failure.actual) == int(failure.expected) + 1
-        # Behavioral mode erases cost, so it neither meters nor counts.
-        for mode in (EvaluationMode.BEHAVIORAL, EvaluationMode.CONCRETE):
+        # Behavioral mode erases cost, so it neither meters nor counts;
+        # concrete mode judges no abstract agreement, so it samples nothing.
+        for mode, cases in ((EvaluationMode.BEHAVIORAL, 20), (EvaluationMode.CONCRETE, 0)):
             quiet = sweep(check_universal_property, overcharging, TargetMonoid("sum", SUM_OPS), draw, 20,
                           seed=3, mode=mode)
-            assert quiet.passed and quiet.cases == 20
+            assert quiet.passed and quiet.cases == cases
 
 
 def fold_and_charge(t, ops: MonoidOps) -> Charged:

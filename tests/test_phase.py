@@ -170,11 +170,6 @@ class TestSpecMember:
         assert spec_member(s, witness, BATCHED_ALPHA.apply)
         assert not spec_member(BatchedQueueState((), ()), witness, BATCHED_ALPHA.apply)
 
-    def test_custom_equality(self) -> None:
-        assert spec_member(
-            "AB", "ab", lambda x: x, eq_p=lambda a, b: a.lower() == b.lower()
-        )
-
 
 class TestAbstractionFn:
     def test_default_equality_is_structural(self) -> None:

@@ -36,32 +36,32 @@ PINNED = {
     "queues/coherence": {
         "full": "b2a7c45bf71a8686966f46a9da0a793473785ca2",
         "abstract": "db39263a2fd606507f66557f06fe7c3fe7322e8b",
-        "behavioral": "c6a8a04d5a35cf3f81a3f8e25e40e0e310ba0043",
-        "concrete": "23dbe335ed0f10b9e22294bada1fbb972396aabc",
+        "behavioral": "96d8c8f77e534fcbde694416ca5b342fb3329a33",
+        "concrete": "e6d7a0466ddd81c83cdce797e1282a8a6b99d28e",
     },
     "queues/noninterference": {
         "full": "c404ae1e0d19e5c0d336f016460085621316596a",
         "abstract": "dda30610812b81f4f47289d7d8c23eb35fb075f8",
         "behavioral": "50c4ecacd157693a794e59c0f4769ec9e53e24df",
-        "concrete": "f2dfec35fd655b48241426338b6fa3143a1f9a69",
+        "concrete": "abdbe0839d958df747da6686a80299990c8dd566",
     },
     "rbtree/invariants": {
         "full": "4a657a4dc0fe0dbcf84bd7ef9c6f8950f6785bdf",
         "abstract": "6e4696ed75c4cecf904eb6b1767236a26d5924f5",
-        "behavioral": "697c0f36529b28c158b3d3d557933c271bf4dda9",
-        "concrete": "89965d722c89d0f9c32a43c5e1082b285336cabc",
+        "behavioral": "019bab690393d4569eb20efb2705e5766a0ac975",
+        "concrete": "a77b5071a378291f111e7444bfc47cde03ce5902",
     },
     "rbtree/reduce": {
         "full": "fc289b50c404823c5f03074ddd4f74ee830ea672",
         "abstract": "b55a0d273a41f8098dfd2ae81735339e60a3a853",
-        "behavioral": "73607362f66eed91676196959c7c014a9c2f0137",
+        "behavioral": "8db189ca996f3ba0d9860e22aa124fae97baf936",
         "concrete": "d982341d937faca898fb766cb89b05c5e52cc444",
     },
     "rbtree/universal": {
         "full": "a97d7ae78c6a4c93d4bd7dce2bbd024b852e3752",
         "abstract": "ecfc75505dbcb4c37a47c8262df27e2f0db12fef",
         "behavioral": "125dada2f661797f9ed93405fefbc6e90bf17e99",
-        "concrete": "cc768b8813c9f2ff109d8d4ccff957ea84d0f0cd",
+        "concrete": "64bdc163f1a6f3b83195db5cc60a021b161d0ed3",
     },
     "sealing/laws": {
         "full": "ce5dfb231d85eed1cd2c4171486261eb93e8ed94",
@@ -72,8 +72,8 @@ PINNED = {
     "sorting/bounds": {
         "full": "269ec5f154f6e9048a1b98107695df4e0a013761",
         "abstract": "4915c5901e38360dfe953ca2879db78414e35a41",
-        "behavioral": "f83a0a6dd7c9211de841125c366a020b55a8eb37",
-        "concrete": "a7b262604a5312a825c90088c83ef3b431a82570",
+        "behavioral": "e7ce435fd35d77362e3142afd4b02cb8fb83fac7",
+        "concrete": "3a07eaeeeef4494257cc1bc67859069e049729e8",
     },
 }
 

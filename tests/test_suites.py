@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import ast
 import cProfile
 import pstats
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
 from costglue import rbtree, suites
 from costglue.cli import emit_json
+from costglue.cost import Charged, Cost
 from costglue.harness import EvaluationMode
 from costglue.suites import REGISTRY
 
@@ -148,3 +151,99 @@ def test_tree_invariants_report_is_the_oracle_report(monkeypatch, mode: Evaluati
     fast = emit_json(REGISTRY["rbtree/invariants"](seed=3, iterations=200, mode=mode))
     monkeypatch.setattr(suites, "audit_concat", lambda t, a, b: False)
     assert emit_json(REGISTRY["rbtree/invariants"](seed=3, iterations=200, mode=mode)) == fast
+
+
+# -- the noninterference theorem, on the checker itself ---------------------
+
+DIFFERENTIAL_SUITES = [
+    "queues/coherence",
+    "queues/noninterference",
+    "rbtree/invariants",
+    "rbtree/reduce",
+    "rbtree/universal",
+    "sorting/bounds",
+]
+
+
+def _charging(name: str, delta: int):
+    """The operation ``suites.<name>`` with ``delta`` units added to its cost, same value."""
+    honest = getattr(suites, name)
+
+    def mutant(*args):
+        out = honest(*args)
+        return Charged(Cost(max(out.cost.value + delta, 0)), out.value)
+
+    return mutant
+
+
+def _rebuilding_append(a, b):
+    """``append`` with the honest cost and elements but another shape: the tree ``from_iterable`` builds."""
+    return Charged(rbtree.append(a, b).cost, rbtree.from_iterable(rbtree.elements(a) + rbtree.elements(b)))
+
+
+UNOBSERVABLE_CHANGES = {
+    "msort-charges-one-less": ("msort", _charging("msort", -1)),
+    "append-charges-one-more": ("append", _charging("append", 1)),
+    "batched_enqueue-charges-one-more": ("batched_enqueue", _charging("batched_enqueue", 1)),
+    "batched_dequeue-charges-one-more": ("batched_dequeue", _charging("batched_dequeue", 1)),
+    "reduce-charges-one-more": ("reduce", _charging("reduce", 1)),
+    "mapreduce-charges-one-more": ("mapreduce", _charging("mapreduce", 1)),
+    "append-rebuilds-the-shape": ("append", _rebuilding_append),
+}
+
+
+@pytest.mark.parametrize("change", list(UNOBSERVABLE_CHANGES))
+def test_behavioral_reports_cannot_see_cost_or_representation(monkeypatch, change: str) -> None:
+    """Noninterference: a BEHAVIORAL report is a function of behavior alone.
+
+    Each change keeps every value a suite observes abstractly and alters
+    only cost or the concrete representation, so the BEHAVIORAL report of
+    every differential suite must stay byte-identical to the honest one.
+    The change must still be visible to a FULL run of some suite, or the
+    test would prove nothing.  The law suites (``cost/laws``,
+    ``sealing/laws``, ``phase/roundtrip``) are left out: they state laws
+    of the cost effect, of seals and of glue themselves, which hold in
+    every phase, so they judge cost in every mode by design and call none
+    of the operations changed here.
+    """
+    def reports(mode: EvaluationMode) -> dict:
+        return {name: emit_json(REGISTRY[name](seed=0, iterations=40, mode=mode)) for name in DIFFERENTIAL_SUITES}
+
+    honest_beh, honest_full = reports(EvaluationMode.BEHAVIORAL), reports(EvaluationMode.FULL)
+    monkeypatch.setattr(suites, *UNOBSERVABLE_CHANGES[change])
+    changed_beh, changed_full = reports(EvaluationMode.BEHAVIORAL), reports(EvaluationMode.FULL)
+    assert [name for name in DIFFERENTIAL_SUITES if changed_beh[name] != honest_beh[name]] == []
+    assert changed_full != honest_full
+
+
+# -- only judged cases are counted ------------------------------------------
+
+def test_only_the_report_builder_counts_cases() -> None:
+    """No code in ``src/`` but ``ReportBuilder``'s own writes ``.cases``, so no site pads the count."""
+    writers = []
+    for path in sorted(Path(suites.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        builder = {id(node) for cls in ast.walk(tree)
+                   if isinstance(cls, ast.ClassDef) and cls.name == "ReportBuilder" for node in ast.walk(cls)}
+        for node in ast.walk(tree):
+            targets = node.targets if isinstance(node, ast.Assign) else (
+                [node.target] if isinstance(node, (ast.AugAssign, ast.AnnAssign)) else [])
+            if id(node) not in builder and any(isinstance(t, ast.Attribute) and t.attr == "cases" for t in targets):
+                writers.append(f"{path.name}:{node.lineno}")
+    assert writers == []
+
+
+@pytest.mark.parametrize("name", ["rbtree/universal", "queues/noninterference", "queues/coherence", "sorting/bounds"])
+def test_concrete_mode_counts_no_unjudged_case(name: str) -> None:
+    # These suites judge no concrete audit, so CONCRETE mode judges nothing
+    # in them; the two with cost-bearing operations still tabulate cost.
+    rep = REGISTRY[name](seed=0, iterations=20, mode=EvaluationMode.CONCRETE)
+    assert rep.cases == 0
+    assert bool(rep.cost_table) == (name in ("queues/coherence", "sorting/bounds"))
+
+
+@pytest.mark.parametrize("name", DIFFERENTIAL_SUITES)
+def test_behavioral_mode_records_no_cost(name: str) -> None:
+    rep = REGISTRY[name](seed=0, iterations=20, mode=EvaluationMode.BEHAVIORAL)
+    assert rep.cost_table == ()
+    assert rep.cases > 0
