@@ -30,7 +30,7 @@ import math
 import operator
 import random
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Sequence, Tuple
 
 from .cost import Charged
 from .phase import AbstractionFn, EvaluationMode, abstract_equal
@@ -264,7 +264,7 @@ def commute(rb: ReportBuilder, square: SquareSpec, x: Any) -> Tuple[Charged[Any]
     mapped = square.alpha_out.apply(top.value)
     ok = square.alpha_out.abs_eq(mapped, bottom.value)
     if rb.check_cost:
-        ok = ok and (top.cost <= bottom.cost if square.lax else top.cost == bottom.cost)
+        ok = ok and (top.cost.value <= bottom.cost.value if square.lax else top.cost.value == bottom.cost.value)
     rb.case(
         bool(ok),
         square.law,
@@ -284,18 +284,18 @@ def check_square(
     inputs: Callable[[random.Random], Any],
     n: int,
     *,
-    size_of: Optional[Callable[[Any], int]] = None,
+    size_of: Callable[[Any], int],
 ) -> None:
     """Sample inputs and check that the square commutes at each (``commute``).
 
     Each sampled input contributes one case and one cost row keyed by
-    ``size_of`` (input size 0 when not supplied).
+    ``size_of``.
     """
     rng = rb.rng(stream)
     for _ in range(n):
         x = inputs(rng)
         top, bottom = commute(rb, square, x)
-        rb.cost_row(size_of(x) if size_of else 0, top.cost.value, bottom.cost.value)
+        rb.cost_row(size_of(x), top.cost.value, bottom.cost.value)
 
 
 # -- noninterference -------------------------------------------------------

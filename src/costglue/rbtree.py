@@ -28,9 +28,9 @@ operands already known valid.  The ``rbtree/invariants`` suite trusts it
 while its whole pool is known valid and falls back to ``validate`` and
 ``elements`` as the oracle.
 
-Trees are frozen, slotted records; a ``Node`` is built by a direct
-``__init__`` that runs ``__post_init__`` once to check child heights and
-cache ``black_height`` and ``size``.  ``from_iterable`` builds the tree
+Trees are frozen, slotted records; a ``Node`` is built by one direct
+``__init__`` that checks child heights before it stores any field and
+caches ``black_height`` and ``size``.  ``from_iterable`` builds the tree
 the ``append`` fold over singletons builds, colors included, one ``Node``
 per internal node, by replaying ``_join_right`` on stacks of its spine.
 
@@ -96,10 +96,9 @@ class Leaf(RBTree):
 class Node(RBTree):
     """An internal node; children must agree on black height.
 
-    ``Node(color, left, right)`` stores its fields through the slot
-    descriptors and runs ``__post_init__`` once, which checks the child
-    heights and caches ``black_height`` and ``size``; neither cache takes
-    part in ``==``, ``hash`` or ``repr``.
+    ``Node(color, left, right)`` checks the child heights, then stores
+    its fields through the slot descriptors and caches ``black_height``
+    and ``size``; neither cache takes part in ``==``, ``hash`` or ``repr``.
     """
 
     color: Color
@@ -109,18 +108,16 @@ class Node(RBTree):
     size: int = field(init=False, compare=False, repr=False)
 
     def __init__(self, color: Color, left: RBTree, right: RBTree) -> None:
-        _set_color(self, color)
-        _set_left(self, left)
-        _set_right(self, right)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        left, right = self.left, self.right
         lbh = left.black_height
         if lbh != right.black_height:
             raise TreeInvariantError(f"child black heights differ: {lbh} vs {right.black_height}")
-        _set_black_height(self, lbh + 1 if self.color is Color.BLACK else lbh)
+        _set_color(self, color)
+        _set_left(self, left)
+        _set_right(self, right)
+        _set_black_height(self, lbh + 1 if color is Color.BLACK else lbh)
         _set_size(self, left.size + right.size)
+
+    __post_init__ = __init__  # perfbench counts constructions by this code object
 
 
 _set_color = Node.color.__set__

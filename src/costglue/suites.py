@@ -744,12 +744,13 @@ def rbtree_reduce(rb: ReportBuilder) -> None:
     def plus(x: int, y: int) -> Charged[int]:
         return Charged(ONE, x + y)
 
-    probe = plus(1, 2)
-    rb.case(
-        probe.cost == Cost(1) and probe.value == 3,
-        "rbtree/reduce-combiner-precondition",
-        lambda: ((1, 2), "unit cost, correct value", render(probe)),
-    )
+    if rb.check_cost:
+        probe = plus(1, 2)
+        rb.case(
+            probe.cost == Cost(1) and probe.value == 3,
+            "rbtree/reduce-combiner-precondition",
+            lambda: ((1, 2), "unit cost, correct value", render(probe)),
+        )
 
     for _ in range(rb.iterations):
         pool.grow()
@@ -773,12 +774,13 @@ def rbtree_reduce(rb: ReportBuilder) -> None:
             )
         rb.cost_row(t.size, out.cost.value, 2 * t.size)
 
-    unit_case = reduce(plus, 0, EMPTY)
-    rb.case(
-        unit_case.value == 0 and (unit_case.cost.value <= 1 if rb.check_cost else True),
-        "rbtree/reduce-empty",
-        lambda: ("empty tree", "unit at small constant cost", render(unit_case)),
-    )
+    if rb.check_beh:
+        unit_case = reduce(plus, 0, EMPTY)
+        rb.case(
+            unit_case.value == 0 and (unit_case.cost.value <= 1 if rb.check_cost else True),
+            "rbtree/reduce-empty",
+            lambda: ("empty tree", "unit at small constant cost", render(unit_case)),
+        )
 
 
 # ---------------------------------------------------------------------------

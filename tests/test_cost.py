@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import enum
 import operator
 
 import pytest
@@ -28,6 +29,10 @@ KONTS = (
 konts = st.sampled_from(KONTS)
 
 
+class Units(enum.IntEnum):
+    TWO = 2
+
+
 class TestCost:
     def test_zero(self) -> None:
         assert ZERO == Cost(0)
@@ -42,13 +47,20 @@ class TestCost:
             Cost(-1)
 
     def test_rejects_non_integer(self) -> None:
-        with pytest.raises(TypeError):
+        with pytest.raises(TypeError, match="^cost must be an integer, got float$"):
             Cost(1.5)  # type: ignore[arg-type]
 
     @pytest.mark.parametrize("flag", [True, False])
     def test_rejects_bool(self, flag: bool) -> None:
-        with pytest.raises(TypeError, match="got bool"):
+        with pytest.raises(TypeError, match="^cost must be an integer, got bool$"):
             Cost(flag)
+
+    def test_int_subclass_is_stored_as_given(self) -> None:
+        # Only an exact ``int`` takes the fast path; an ``IntEnum`` member
+        # goes through the full check and is kept, not converted.
+        c = Cost(Units.TWO)
+        assert c.value is Units.TWO
+        assert c == Cost(2) and hash(c) == hash(Cost(2))
 
     def test_max_boundary(self) -> None:
         assert Cost(MAX_COST).value == MAX_COST
@@ -77,6 +89,10 @@ class TestChargedOracles:
 
     def test_int_cost_coercion(self) -> None:
         assert Charged(3, "a").cost == Cost(3)
+        m = Charged(Units.TWO, "a")
+        assert type(m.cost) is Cost and m.cost.value is Units.TWO
+        with pytest.raises(TypeError, match="got bool"):
+            Charged(True, "a")
 
 
 class TestMonadLaws:

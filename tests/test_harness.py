@@ -227,6 +227,10 @@ def _const_inputs(value):
     return lambda rng: value
 
 
+def _zero_size(x) -> int:
+    return 0
+
+
 class TestCheckSquare:
     def _square(self, top_charge: int, abs_charge: int, lax: bool) -> SquareSpec:
         return SquareSpec(
@@ -239,21 +243,21 @@ class TestCheckSquare:
         )
 
     def test_commuting_square_passes(self) -> None:
-        rep = sweep(check_square, self._square(1, 1, lax=False), _const_inputs(3), 5)
+        rep = sweep(check_square, self._square(1, 1, lax=False), _const_inputs(3), 5, size_of=_zero_size)
         assert rep.passed
         assert rep.cases == 5
 
     def test_strict_square_sees_cost_mismatch(self) -> None:
-        rep = sweep(check_square, self._square(0, 1, lax=False), _const_inputs(3), 4)
+        rep = sweep(check_square, self._square(0, 1, lax=False), _const_inputs(3), 4, size_of=_zero_size)
         assert not rep.passed
         assert all("strict" in f.law for f in rep.failures)
 
     def test_lax_square_allows_cheaper_top(self) -> None:
-        rep = sweep(check_square, self._square(0, 1, lax=True), _const_inputs(3), 4)
+        rep = sweep(check_square, self._square(0, 1, lax=True), _const_inputs(3), 4, size_of=_zero_size)
         assert rep.passed
 
     def test_lax_square_rejects_costlier_top(self) -> None:
-        rep = sweep(check_square, self._square(2, 1, lax=True), _const_inputs(3), 4)
+        rep = sweep(check_square, self._square(2, 1, lax=True), _const_inputs(3), 4, size_of=_zero_size)
         assert not rep.passed
 
     def test_behavior_mismatch_is_caught(self) -> None:
@@ -264,7 +268,7 @@ class TestCheckSquare:
             alpha_in=IDENTITY,
             alpha_out=IDENTITY,
         )
-        rep = sweep(check_square, square, _const_inputs(10), 3)
+        rep = sweep(check_square, square, _const_inputs(10), 3, size_of=_zero_size)
         assert not rep.passed
         assert "image 9" in rep.failures[0].expected
         assert "image 11" in rep.failures[0].actual
@@ -275,6 +279,7 @@ class TestCheckSquare:
             self._square(0, 1, lax=False),
             _const_inputs(3),
             4,
+            size_of=_zero_size,
             mode=EvaluationMode.BEHAVIORAL,
         )
         assert rep.passed
@@ -287,7 +292,7 @@ class TestCheckSquare:
             alpha_in=IDENTITY,
             alpha_out=IDENTITY,
         )
-        rep = sweep(check_square, square, _const_inputs(3), 4, mode=EvaluationMode.CONCRETE)
+        rep = sweep(check_square, square, _const_inputs(3), 4, mode=EvaluationMode.CONCRETE, size_of=_zero_size)
         assert rep.passed
         assert rep.cases == 0
 

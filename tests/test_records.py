@@ -131,7 +131,11 @@ def test_queue_states_default_to_empty() -> None:
 
 
 def post_init_calls(build) -> dict:
-    """How often each counted ``__post_init__`` runs while ``build()`` does."""
+    """How many of each counted record ``build()`` constructs.
+
+    Each class aliases ``__post_init__`` to its one ``__init__``, so the
+    calls of that code object are the constructions, as perfbench counts them.
+    """
     counted = {
         "Cost": cost.Cost.__post_init__,
         "Charged": cost.Charged.__post_init__,

@@ -54,8 +54,8 @@ PINNED = {
     "rbtree/reduce": {
         "full": "fc289b50c404823c5f03074ddd4f74ee830ea672",
         "abstract": "b55a0d273a41f8098dfd2ae81735339e60a3a853",
-        "behavioral": "8db189ca996f3ba0d9860e22aa124fae97baf936",
-        "concrete": "d982341d937faca898fb766cb89b05c5e52cc444",
+        "behavioral": "03de09c1e38ae2ec21447efd3b8785d609419373",
+        "concrete": "c7f62a30e09f731ee083e9de03bb62e2a400a681",
     },
     "rbtree/universal": {
         "full": "a97d7ae78c6a4c93d4bd7dce2bbd024b852e3752",

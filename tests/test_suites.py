@@ -233,13 +233,40 @@ def test_only_the_report_builder_counts_cases() -> None:
     assert writers == []
 
 
-@pytest.mark.parametrize("name", ["rbtree/universal", "queues/noninterference", "queues/coherence", "sorting/bounds"])
+def test_each_record_is_checked_in_its_one_constructor() -> None:
+    """A class in ``src/`` with its own ``__init__`` has no second ``__post_init__`` body.
+
+    The only form allowed is the alias ``__post_init__ = __init__``, which
+    keeps construction counts readable by that code object.  A dataclass
+    whose ``__init__`` is generated (``SquareSpec``) defines no
+    ``__init__`` of its own, so its ``__post_init__`` is not in scope.
+    """
+    aliased, second_bodies = set(), []
+    for path in sorted(Path(suites.__file__).parent.glob("*.py")):
+        for cls in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            defs = {n.name for n in cls.body if isinstance(n, ast.FunctionDef)}
+            if "__init__" not in defs:
+                continue
+            if "__post_init__" in defs:
+                second_bodies.append(f"{path.name}:{cls.name}")
+            for node in cls.body:
+                if isinstance(node, ast.Assign) and [ast.unparse(t) for t in node.targets] == ["__post_init__"]:
+                    assert ast.unparse(node.value) == "__init__", f"{path.name}:{cls.name}"
+                    aliased.add(cls.name)
+    assert second_bodies == []
+    assert aliased == {"Cost", "Charged", "Sealed", "Node"}
+
+
+@pytest.mark.parametrize(
+    "name", ["rbtree/universal", "queues/noninterference", "queues/coherence", "sorting/bounds", "rbtree/reduce"])
 def test_concrete_mode_counts_no_unjudged_case(name: str) -> None:
     # These suites judge no concrete audit, so CONCRETE mode judges nothing
-    # in them; the two with cost-bearing operations still tabulate cost.
+    # in them; the three with cost-bearing operations still tabulate cost.
     rep = REGISTRY[name](seed=0, iterations=20, mode=EvaluationMode.CONCRETE)
     assert rep.cases == 0
-    assert bool(rep.cost_table) == (name in ("queues/coherence", "sorting/bounds"))
+    assert bool(rep.cost_table) == (name in ("queues/coherence", "sorting/bounds", "rbtree/reduce"))
 
 
 @pytest.mark.parametrize("name", DIFFERENTIAL_SUITES)
