@@ -23,9 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence, Tuple
 
-from .cost import ONE, ZERO, Charged, Cost, bind, ret
+from .cost import ONE, ZERO, Charged, Cost, bind
 from .phase import AbstractionFn, spec_member
-from .sealing import seal
 
 DEFAULT_ELEMENT = 0
 
@@ -144,25 +143,6 @@ BATCHED_QUEUE = QueueImpl(
     dequeue=batched_dequeue,
     alpha=BATCHED_ALPHA,
 )
-
-
-def sealed_dequeue(s: BatchedQueueState):
-    """Batched dequeue sealed under the list-queue dequeue bound.
-
-    Both sides are stated over abstract outputs: the implementation is
-    the batched dequeue with its resulting state pushed through
-    ``rev_append``, the specification is the list dequeue on the state's
-    image.  Seal validity is exactly the lax cost square for dequeue.
-    """
-    impl = bind(
-        batched_dequeue(s),
-        lambda out: ret((out[0], rev_append(out[1]))),
-    )
-    spec = bind(
-        list_dequeue(ListQueueState(rev_append(s))),
-        lambda out: ret((out[0], out[1].items)),
-    )
-    return seal(impl, spec)
 
 
 # -- trace running --------------------------------------------------------

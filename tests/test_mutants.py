@@ -25,7 +25,9 @@ from costglue.cost import Charged, Cost
 from costglue.phase import EvaluationMode
 from costglue.queues import BatchedQueueState
 from test_failure_records import (
+    bound_skipping_seal_charge,
     dropping_enqueue,
+    forged_seal,
     misordering_isort,
     overcharging_charge,
     overcharging_dequeue,
@@ -81,6 +83,11 @@ def dearer_reseal(s, spec2):
     return sealing.reseal(s, cost.charge(1, spec2))
 
 
+def spec_keeping_reseal(s, spec2):
+    """Reseals under the old specification, past ``Sealed``'s own check."""
+    return forged_seal(s.impl, s.spec, s.beh_eq)
+
+
 def dearer_seal_join(s):
     """Flattens a sealed seal with a specification one unit dearer."""
     flat = sealing.seal_join(s)
@@ -130,6 +137,8 @@ MUTANTS = [
     (suites, "charge", overcharging_charge),
     (suites, "seal_charge", dearer_seal_charge),
     (suites, "reseal", dearer_reseal),
+    (suites, "seal_charge", bound_skipping_seal_charge),
+    (suites, "reseal", spec_keeping_reseal),
     (suites, "seal_join", dearer_seal_join),
     (suites, "bind", odd_cost_bind),
     (suites, "erase", odd_cost_erase),

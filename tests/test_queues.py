@@ -25,7 +25,6 @@ from costglue.queues import (
     queue_spec_member,
     rev_append,
     run_trace,
-    sealed_dequeue,
     to_list,
 )
 
@@ -127,32 +126,6 @@ class TestDifferentialTraces:
         run = run_trace(BATCHED_QUEUE, trace)
         enqueues = sum(1 for op, _ in trace if op == "enqueue")
         assert sum(c for _, c in run.step_costs) <= 2 * enqueues
-
-
-class TestSealedDequeue:
-    def test_reversal_case(self) -> None:
-        s = BatchedQueueState(inbox=(2, 1), outbox=())
-        cert = sealed_dequeue(s)
-        assert cert.impl.value == (1, (2,))
-        assert cert.impl.cost == Cost(2)
-        assert cert.spec.value == (1, (2,))
-        assert cert.spec.cost == Cost(2)
-
-    def test_pop_case_beats_the_spec(self) -> None:
-        s = BatchedQueueState(inbox=(), outbox=(1, 2))
-        cert = sealed_dequeue(s)
-        assert cert.impl.cost == Cost(0)
-        assert cert.spec.cost == Cost(2)
-
-    def test_empty_case(self) -> None:
-        cert = sealed_dequeue(batched_empty())
-        assert cert.impl.cost == Cost(0)
-        assert cert.spec.cost == Cost(0)
-
-    @given(st.lists(elems, max_size=12).map(tuple), st.lists(elems, max_size=12).map(tuple))
-    def test_always_within_the_list_cost(self, inbox, outbox) -> None:
-        cert = sealed_dequeue(BatchedQueueState(inbox, outbox))
-        assert cert.impl.cost <= cert.spec.cost
 
 
 class TestClients:

@@ -34,8 +34,8 @@ PINNED = {
         "concrete": "eea3c53359ca45014a079ea1f5c99d86baaef94f",
     },
     "queues/coherence": {
-        "full": "b2a7c45bf71a8686966f46a9da0a793473785ca2",
-        "abstract": "db39263a2fd606507f66557f06fe7c3fe7322e8b",
+        "full": "3b63c2c27892e150d9b359b0e1d672f3271b9ae7",
+        "abstract": "7d219c63651eda26ddfbc7bc8d2c4ef3017a86e1",
         "behavioral": "96d8c8f77e534fcbde694416ca5b342fb3329a33",
         "concrete": "e6d7a0466ddd81c83cdce797e1282a8a6b99d28e",
     },
@@ -52,8 +52,8 @@ PINNED = {
         "concrete": "a77b5071a378291f111e7444bfc47cde03ce5902",
     },
     "rbtree/reduce": {
-        "full": "fc289b50c404823c5f03074ddd4f74ee830ea672",
-        "abstract": "b55a0d273a41f8098dfd2ae81735339e60a3a853",
+        "full": "c747de94a68e6b645b7f50d7cf2d3f90c3a2d7cb",
+        "abstract": "7de0c9f7b2730c58bdbedc6fe5c2db7dddca361d",
         "behavioral": "03de09c1e38ae2ec21447efd3b8785d609419373",
         "concrete": "c7f62a30e09f731ee083e9de03bb62e2a400a681",
     },
@@ -64,15 +64,15 @@ PINNED = {
         "concrete": "64bdc163f1a6f3b83195db5cc60a021b161d0ed3",
     },
     "sealing/laws": {
-        "full": "ce5dfb231d85eed1cd2c4171486261eb93e8ed94",
-        "abstract": "90ea0daa4d2108044e15b8e78a69d0a45aa4f984",
-        "behavioral": "bd1cd2107d1daca3d6ee03e19a330a74c99e61da",
-        "concrete": "bab3f7b7981c0f4da1bab0fac9b2865b62b4f61f",
+        "full": "07afcdd91cc8daf0e80ca8e3d75bc9c1f9abd068",
+        "abstract": "c9cfc3ab614728cb53a73d521afcf3f03a85a0a9",
+        "behavioral": "9141d6af5902a6ee41c03c6e2982ccc45aafed3a",
+        "concrete": "401a6baa22fbe6d330b31ae154cad6388aa01161",
     },
     "sorting/bounds": {
-        "full": "269ec5f154f6e9048a1b98107695df4e0a013761",
-        "abstract": "4915c5901e38360dfe953ca2879db78414e35a41",
-        "behavioral": "e7ce435fd35d77362e3142afd4b02cb8fb83fac7",
+        "full": "5ceaabb1f8edee742ee36d05b30021374721e402",
+        "abstract": "e398719e7ed32f3c59a57ba1f25877b903466491",
+        "behavioral": "7663b708f876d3a31d8173d90bf36e665b5efa87",
         "concrete": "3a07eaeeeef4494257cc1bc67859069e049729e8",
     },
 }

@@ -13,7 +13,7 @@ import pytest
 from costglue import rbtree, suites
 from costglue.cli import emit_json
 from costglue.cost import Charged, Cost
-from costglue.harness import EvaluationMode
+from costglue.harness import EvaluationMode, ReportBuilder
 from costglue.suites import REGISTRY
 
 ALL_SUITES = sorted(REGISTRY)
@@ -34,6 +34,68 @@ EXPECTED = [
 
 def test_registry_contents() -> None:
     assert ALL_SUITES == EXPECTED
+
+
+# The law names each suite judges at seed 0, 20 iterations, FULL mode:
+# 69 in all.  A law added or deleted shows here by name.
+LAWS = {
+    "cost/laws": [
+        "cost/bind-assoc", "cost/bind-left-unit", "cost/bind-right-unit", "cost/charge-plus",
+        "cost/charge-zero", "cost/erase-charge", "cost/leq-erase-collapse", "cost/leq-refl",
+        "cost/leq-trans", "cost/ret-free",
+    ],
+    "phase/roundtrip": [
+        "phase/fracture-components-queue", "phase/glue-fracture-queue", "phase/glue-fracture-tree",
+        "phase/glue-rejects-incoherent",
+    ],
+    "queues/coherence": [
+        "queues/amortized-reversal", "queues/empty-square", "queues/quotient-soundness",
+        "square/dequeue/lax", "square/enqueue/strict",
+    ],
+    "queues/noninterference": [
+        "noninterference/batched~oracle", "noninterference/list~batched", "noninterference/list~oracle",
+        "queues/spec-member/batched", "queues/spec-member/list", "queues/spec-member/stack-excluded",
+    ],
+    "rbtree/invariants": [
+        "monoid/assoc", "monoid/left-unit", "monoid/right-unit", "rbtree/abstract-client/elements",
+        "rbtree/abstract-client/length", "rbtree/abstract-client/mapreduce-sum",
+        "rbtree/abstract-client/reduce-max", "rbtree/append-cost-bound", "rbtree/append-elements",
+        "rbtree/invariant-audit", "rbtree/size-cache",
+    ],
+    "rbtree/reduce": ["rbtree/reduce-cost-exact", "rbtree/reduce-empty", "rbtree/reduce-value"],
+    "rbtree/universal": [
+        "hom/append", "hom/empty", "hom/singleton", "universal/list/agrees-with-fold",
+        "universal/list/cost-metered", "universal/list/unique/elements", "universal/nat-max/agrees-with-fold",
+        "universal/nat-max/cost-metered", "universal/nat-sum/agrees-with-fold",
+        "universal/nat-sum/cost-metered", "universal/nat-sum/unique/cached-length",
+    ],
+    "sealing/laws": [
+        "seal/charge-commutes", "seal/charge-zero", "seal/join-assoc", "seal/join-map-return",
+        "seal/join-return", "seal/reflexive", "seal/rejects-behavior-mismatch", "seal/rejects-cost-overrun",
+        "seal/reseal-identity", "seal/reseal-transitive", "seal/unseal-abstract", "seal/unseal-concrete",
+    ],
+    "sorting/bounds": [
+        "sorting/isort-behavior", "sorting/isort-bound", "sorting/isort-sorted-input",
+        "sorting/msort-behavior", "sorting/msort-bound", "sorting/msort-two-elements", "sorting/sealed-tree",
+    ],
+}
+
+
+def test_each_suite_judges_its_pinned_laws(monkeypatch) -> None:
+    judged: dict = {}
+
+    def noting(method, at: int):
+        def wrapper(self, *args, **kwargs):
+            judged.setdefault(self.suite, set()).add(args[at])  # the law
+            return method(self, *args, **kwargs)
+        return wrapper
+
+    for name, at in (("case", 1), ("equal", 0), ("fail", 0)):
+        monkeypatch.setattr(ReportBuilder, name, noting(getattr(ReportBuilder, name), at))
+    for name in ALL_SUITES:
+        assert REGISTRY[name](seed=0, iterations=20, mode=EvaluationMode.FULL).passed
+    assert {suite: sorted(laws) for suite, laws in judged.items()} == LAWS
+    assert sum(map(len, LAWS.values())) == 69
 
 
 @pytest.mark.parametrize("name", ALL_SUITES)
@@ -94,9 +156,9 @@ def _peak_bytes(run) -> int:
 
 
 def test_seal_laws_run_in_constant_memory() -> None:
-    # The validity sweep keeps counts, not seals, so ten times the
+    # The suite keeps nothing across iterations, so ten times the
     # iterations must not raise the peak (a kept ledger of the three seals
-    # of each iteration adds ~0.65 KB per iteration).
+    # of each iteration would add ~0.65 KB per iteration).
     def peak(iterations: int) -> int:
         return _peak_bytes(lambda: REGISTRY["sealing/laws"](0, iterations, EvaluationMode.FULL))
 
