@@ -5,8 +5,12 @@ fixed configuration and emits its report as JSON (default) or markdown;
 ``costglue list`` enumerates the registry.  Reports are pure functions
 of (suite, seed, iterations, mode): two runs with the same configuration
 produce byte-identical output.  Exit status is 0 when every case
-passed, 1 on a failed case or an ``InvariantBreach`` (any other error
-propagates), and 2 for usage errors, an unwritable report path too.
+passed, 1 on a failed case or an ``InvariantBreach``, and 2 for usage
+errors, an unwritable report path too.  Any other exception is a bug in
+the checker: its first stderr line is ``costglue: internal error:
+<ExceptionType>: <message>``, then it propagates with its traceback, so
+the exit status is 1 as well and that line tells the crash from a
+verdict.
 """
 
 from __future__ import annotations
@@ -188,6 +192,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             sys.stdout.write(text)
         else:
             out.commit(text)
+    except Exception as err:  # a bug in the checker: name it, then let it propagate
+        print(f"costglue: internal error: {type(err).__name__}: {err}", file=sys.stderr)
+        raise
     finally:
         if out is not None:
             out.discard()

@@ -205,9 +205,13 @@ class ReportBuilder:
     def cost_row(self, size: int, impl_cost: int, spec_cost: int) -> None:
         if self.mode is EvaluationMode.BEHAVIORAL:  # cost is out of view
             return
-        row = self._costs.setdefault(size, [0, 0])
-        row[0] = max(row[0], impl_cost)
-        row[1] = max(row[1], spec_cost)
+        row = self._costs.get(size)
+        if row is None:
+            row = self._costs[size] = [0, 0]
+        if impl_cost > row[0]:
+            row[0] = impl_cost
+        if spec_cost > row[1]:
+            row[1] = spec_cost
 
     def build(self) -> Report:
         table = tuple(

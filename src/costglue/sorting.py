@@ -12,14 +12,16 @@ order is fixed (insertion scans the sorted prefix from its largest
 element down with early exit; merge compares pairwise front elements),
 so counts are deterministic functions of the input.  ``isort`` keeps
 its prefix in descending order so that this scan is a forward loop, and
-``msort`` sorts index ranges of one list.  Either way the ``<`` calls
-and their order are those of the textbook formulations (an ascending
-prefix scanned right to left, a merge of slices), which
-``tests/test_sorting.py`` keeps as its reference.
+``msort`` sorts index ranges of one list with two- and three-element
+ranges sorted inline.  Either way the ``<`` calls and their order are
+those of the textbook formulations (an ascending prefix scanned right
+to left, a merge of slices), which ``tests/test_sorting.py`` keeps as
+its reference; only the bookkeeping around them differs.
 """
 
 from __future__ import annotations
 
+from operator import length_hint
 from typing import Any, Callable, List, Sequence, Tuple
 
 from .cost import Charged, Cost, CostLike, as_cost
@@ -43,19 +45,26 @@ def isort(items: Sequence[Any]) -> Charged[Tuple[Any, ...]]:
     prefix is kept in descending order, so the scan is a forward loop,
     and reversed once at the end; the comparisons and their order are
     those of a right-to-left scan of an ascending prefix.
+
+    The scan keeps no counter: where it stops, the elements it consumed
+    are the prefix length minus what its iterator has left
+    (``length_hint``), the comparisons it made, and the element goes
+    just before the last of them.  A scan that runs to the end made one
+    comparison per element and appends.
     """
     desc: List[Any] = []
     comparisons = 0
     for e in items:
-        k = 0
-        for x in desc:
-            if e < x:
-                k += 1
-            else:
-                comparisons += 1
+        scan = iter(desc)
+        for x in scan:
+            if not e < x:
+                made = len(desc) - length_hint(scan)
+                desc.insert(made - 1, e)
                 break
-        comparisons += k
-        desc.insert(k, e)
+        else:
+            made = len(desc)
+            desc.append(e)
+        comparisons += made
     desc.reverse()
     return Charged(Cost(comparisons), tuple(desc))
 
@@ -95,12 +104,17 @@ def _merge(a: List[Any], b: List[Any]) -> Tuple[List[Any], int]:
 
 
 def _msort_range(seq: List[Any], lo: int, hi: int) -> Tuple[List[Any], int]:
-    """Sort the non-empty range ``seq[lo:hi]``; return it with the comparisons made."""
-    if hi - lo == 1:
-        return [seq[lo]], 0
+    """Sort the range ``seq[lo:hi]`` of at least two elements; return it with the comparisons made."""
     if hi - lo == 2:
         x, y = seq[lo], seq[lo + 1]
         return ([y, x] if y < x else [x, y]), 1
+    if hi - lo == 3:  # the pair ``x, y`` first, then each merged with ``a``
+        a, x, y = seq[lo], seq[lo + 1], seq[lo + 2]
+        if y < x:
+            x, y = y, x
+        if x < a:
+            return ([x, y, a] if y < a else [x, a, y]), 3
+        return [a, x, y], 2
     mid = (lo + hi) // 2
     left, cl = _msort_range(seq, lo, mid)
     right, cr = _msort_range(seq, mid, hi)
@@ -113,13 +127,17 @@ def msort(items: Sequence[Any]) -> Charged[Tuple[Any, ...]]:
 
     Merging charges one unit per comparison and takes from the left run
     on ties, which keeps the sort stable.  A two-element range costs its
-    one comparison inline, as merging two singletons would.  The
-    recursion is a module-level function over index ranges, so a run
-    leaves no closure cycle for the garbage collector.
+    one comparison inline, as merging two singletons would.  A
+    three-element range ``a, x, y`` is sorted inline as the recursion
+    would: the pair ``y < x`` first, then the smaller of the pair
+    against ``a``, and the larger against ``a`` only if the smaller was
+    less; so 2 or 3 comparisons, ``a`` first on ties.  The recursion is
+    a module-level function over index ranges, so a run leaves no
+    closure cycle for the garbage collector.
     """
     seq = list(items)
-    if not seq:
-        return Charged(Cost(0), ())
+    if len(seq) < 2:
+        return Charged(Cost(0), tuple(seq))
     result, comparisons = _msort_range(seq, 0, len(seq))
     return Charged(Cost(comparisons), tuple(result))
 

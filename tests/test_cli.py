@@ -290,6 +290,7 @@ class TestFailurePath:
             main(["run", "--suite", "crashing"])
         assert info.value is bug
         captured = capsys.readouterr()
+        assert captured.err.splitlines()[0] == f"costglue: internal error: {type(bug).__name__}: {bug}"
         assert "internal invariant breach" not in captured.err
         assert captured.out == ""
 

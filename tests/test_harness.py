@@ -159,8 +159,14 @@ class TestReportBuilder:
         rb.cost_row(4, 2, 9)
         rb.cost_row(4, 7, 3)
         rb.cost_row(2, 1, 1)
+        rb.cost_row(0, 0, 0)
+        rb.cost_row(2, 0, 0)
         rep = rb.build()
-        assert rep.cost_table == ((2, 1, 1), (4, 7, 9))
+        assert rep.cost_table == ((0, 0, 0), (2, 1, 1), (4, 7, 9))
+        behavioral = ReportBuilder("s", 0, 10, EvaluationMode.BEHAVIORAL)
+        behavioral.cost_row(4, 2, 9)
+        behavioral.cost_row(0, 0, 0)
+        assert behavioral.build().cost_table == ()
 
     def test_passing_equal_counts_and_renders_nothing(self, monkeypatch) -> None:
         def no_render(value):

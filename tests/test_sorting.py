@@ -208,11 +208,20 @@ class Logged:
 
 
 def trace_inputs() -> list:
-    """Every permutation up to n=7, short lists with heavy ties, and long lists."""
+    """Every permutation up to n=7, short lists with heavy ties, long lists, and sorted runs.
+
+    Lengths 3 * 2^k split into three-element ranges only, so every leaf
+    of ``msort``'s recursion is one, here with ties.  Long ascending and
+    descending runs stop ``isort``'s scan at its first element and at
+    its end, with and without ties.
+    """
     rng = random.Random("test_sorting/trace")
     inputs = [list(p) for n in range(8) for p in itertools.permutations(range(n))]
     inputs += [[rng.randrange(5) for _ in range(rng.randrange(13))] for _ in range(300)]
     inputs += [[rng.randrange(1000) for _ in range(rng.randrange(256, 513))] for _ in range(20)]
+    inputs += [[rng.randrange(4) for _ in range(3 << k)] for k in range(8) for _ in range(8)]
+    for run in (list(range(300)), sorted(rng.randrange(10) for _ in range(300))):
+        inputs += [run, run[::-1]]
     return inputs
 
 
