@@ -36,6 +36,7 @@ from .cost import Charged
 from .phase import AbstractionFn, EvaluationMode, abstract_equal
 
 SIZE_GEOMETRIC_MEAN = 32
+_LOG_GEOMETRIC_STAY = math.log(1.0 - 1.0 / SIZE_GEOMETRIC_MEAN)  # log(1 - p), p the stopping chance
 
 # Render limit for values embedded in failure records.
 _RENDER_LIMIT = 200
@@ -52,9 +53,7 @@ def derive_rng(seed: int, suite: str) -> random.Random:
 
 def geometric_size(rng: random.Random, cap: int = 256) -> int:
     """Sample a size with a geometric profile (many small, few large)."""
-    u = rng.random()
-    p = 1.0 / SIZE_GEOMETRIC_MEAN
-    k = int(math.log1p(-u) / math.log(1.0 - p))
+    k = int(math.log1p(-rng.random()) / _LOG_GEOMETRIC_STAY)
     return min(k, cap)
 
 

@@ -66,6 +66,9 @@ class Color(Enum):
     BLACK = "black"
 
 
+RED, BLACK = Color.RED, Color.BLACK  # in a function, Color.RED pays 3.11's EnumType.__getattr__
+
+
 class RBTree:
     """Base class for sequence trees; see the module docstring."""
 
@@ -76,7 +79,7 @@ class RBTree:
 class Empty(RBTree):
     """The empty sequence; black, height 0."""
 
-    color = Color.BLACK
+    color = BLACK
     black_height = 0
     size = 0
 
@@ -87,7 +90,7 @@ class Leaf(RBTree):
 
     value: Any
 
-    color = Color.BLACK
+    color = BLACK
     black_height = 0
     size = 1
 
@@ -114,7 +117,7 @@ class Node(RBTree):
         _set_color(self, color)
         _set_left(self, left)
         _set_right(self, right)
-        _set_black_height(self, lbh + 1 if color is Color.BLACK else lbh)
+        _set_black_height(self, lbh + 1 if color is BLACK else lbh)
         _set_size(self, left.size + right.size)
 
     __post_init__ = __init__  # perfbench counts constructions by this code object
@@ -236,8 +239,8 @@ def _breach(node: Node) -> Optional[str]:
     lbh, rbh = left.black_height, right.black_height
     if lbh != rbh:
         return f"child black heights differ: {lbh} vs {rbh}"
-    if node.color is Color.RED:
-        if left.color is not Color.BLACK or right.color is not Color.BLACK:
+    if node.color is RED:
+        if left.color is not BLACK or right.color is not BLACK:
             return "red node with a red child"
         bh = lbh
     else:
@@ -335,9 +338,9 @@ def append_bound(t1: RBTree, t2: RBTree) -> int:
 
 
 def _blacken(t: RBTree, new: Callable[..., Node]) -> RBTree:
-    if t.color is Color.RED:
+    if t.color is RED:
         assert isinstance(t, Node)
-        return new(Color.BLACK, t.left, t.right)
+        return new(BLACK, t.left, t.right)
     return t
 
 
@@ -346,41 +349,41 @@ def _join_right(t1: RBTree, t2: RBTree, new: Callable[..., Node]) -> RBTree:
     # elements of t1 then t2 and black height bh(t1), valid except
     # possibly a red root whose right child is red; the caller's
     # rebalance (or the black root at top level) removes the exception.
-    if t1.color is Color.RED:
+    if t1.color is RED:
         assert isinstance(t1, Node)
-        return new(Color.RED, t1.left, _join_right(t1.right, t2, new))
+        return new(RED, t1.left, _join_right(t1.right, t2, new))
     if t1.black_height == t2.black_height:
-        return new(Color.RED, t1, t2)
+        return new(RED, t1, t2)
     assert isinstance(t1, Node)
     j = _join_right(t1.right, t2, new)
-    if j.color is Color.RED and j.right.color is Color.RED:
+    if j.color is RED and j.right.color is RED:
         # red-red along the join edge: one rotation restores the invariant.
         assert isinstance(j, Node) and isinstance(j.right, Node)
         return new(
-            Color.RED,
-            new(Color.BLACK, t1.left, j.left),
-            new(Color.BLACK, j.right.left, j.right.right),
+            RED,
+            new(BLACK, t1.left, j.left),
+            new(BLACK, j.right.left, j.right.right),
         )
-    return new(Color.BLACK, t1.left, j)
+    return new(BLACK, t1.left, j)
 
 
 def _join_left(t1: RBTree, t2: RBTree, new: Callable[..., Node]) -> RBTree:
     # Mirror image of _join_right: descends the left spine of t2.
-    if t2.color is Color.RED:
+    if t2.color is RED:
         assert isinstance(t2, Node)
-        return new(Color.RED, _join_left(t1, t2.left, new), t2.right)
+        return new(RED, _join_left(t1, t2.left, new), t2.right)
     if t1.black_height == t2.black_height:
-        return new(Color.RED, t1, t2)
+        return new(RED, t1, t2)
     assert isinstance(t2, Node)
     j = _join_left(t1, t2.left, new)
-    if j.color is Color.RED and j.left.color is Color.RED:
+    if j.color is RED and j.left.color is RED:
         assert isinstance(j, Node) and isinstance(j.left, Node)
         return new(
-            Color.RED,
-            new(Color.BLACK, j.left.left, j.left.right),
-            new(Color.BLACK, j.right, t2.right),
+            RED,
+            new(BLACK, j.left.left, j.left.right),
+            new(BLACK, j.right, t2.right),
         )
-    return new(Color.BLACK, j, t2.right)
+    return new(BLACK, j, t2.right)
 
 
 def from_iterable(items: Iterable[Any]) -> RBTree:
@@ -390,18 +393,17 @@ def from_iterable(items: Iterable[Any]) -> RBTree:
     first, then the last leaf: blacken a red root, push red, and rotate away
     each black-red-red run, building one node; build the spine at the end.
     """
-    red, black = Color.RED, Color.BLACK
     colors: List[Color] = []
     lefts: List[RBTree] = []
     for e in items:
         if lefts:
-            if colors and colors[0] is red:
-                colors[0] = black
-            colors.append(red)
+            if colors and colors[0] is RED:
+                colors[0] = BLACK
+            colors.append(RED)
             i = len(colors) - 3
-            while i >= 0 and colors[i:i + 3] == [black, red, red]:  # _join_right's rotation
-                colors[i:i + 3] = red, black
-                lefts[i:i + 3] = Node(black, lefts[i], lefts[i + 1]), lefts[i + 2]
+            while i >= 0 and colors[i:i + 3] == [BLACK, RED, RED]:  # _join_right's rotation
+                colors[i:i + 3] = RED, BLACK
+                lefts[i:i + 3] = Node(BLACK, lefts[i], lefts[i + 1]), lefts[i + 2]
                 i -= 2
         lefts.append(Leaf(e))
     t = lefts[-1] if lefts else EMPTY

@@ -15,6 +15,7 @@ record cost rows and judge only the concrete audits.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import itertools
 import random
@@ -41,7 +42,7 @@ from .harness import (
     random_items,
     render,
 )
-from .phase import AbstractionFn, CoherenceError, EvaluationMode, abstract_equal, fracture, glue, last_image
+from .phase import AbstractionFn, CoherenceError, EvaluationMode, abstract_equal, fracture, glue, last_image, recent_images
 from .queues import (
     BATCHED_ALPHA,
     BATCHED_QUEUE,
@@ -167,6 +168,9 @@ def _random_batched_state(rng: random.Random) -> BatchedQueueState:
     return BatchedQueueState(inbox, random_items(rng, 100, geometric_size(rng, cap=128)))
 
 
+_POOL_TREES = 256  # a full _TreePool replaces a random tree with each new one
+
+
 class _TreePool:
     """A deterministic, evolving population of valid trees."""
 
@@ -192,7 +196,7 @@ class _TreePool:
         t = out.value
         if t.size > self.cap:
             t = self.fresh_leaf()
-        if len(self.pool) >= 256:
+        if len(self.pool) >= _POOL_TREES:
             self.pool[randbelow(self.rng, len(self.pool))] = t
         else:
             self.pool.append(t)
@@ -204,6 +208,10 @@ def phase_roundtrip(rb: ReportBuilder) -> None:
     """Fracture then glue is the identity, and glue rejects incoherent pairs."""
     rng = rb.rng()
     trees = _TreePool(rng, cap=256)
+    # A pool tree comes back a median of 87 iterations after its last
+    # sample, long after a one-image memo has moved on; this run's memo
+    # holds twice the pool's trees, and is dropped with the run.
+    tree_alpha = dataclasses.replace(ELEMENTS_ALPHA, apply=recent_images(elements, 2 * _POOL_TREES))
     for i in range(rb.iterations):
         s = _random_batched_state(rng)
         g = glue(s, rev_append(s), BATCHED_ALPHA)
@@ -217,7 +225,7 @@ def phase_roundtrip(rb: ReportBuilder) -> None:
 
         trees.grow()
         t = trees.sample()
-        gt = glue(t, ELEMENTS_ALPHA.apply(t), ELEMENTS_ALPHA)
+        gt = glue(t, tree_alpha.apply(t), tree_alpha)
         back_t = glue(*fracture(gt))
         rb.case(
             back_t == gt,

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import random
 
 import pytest
@@ -65,6 +66,13 @@ class TestRngDiscipline:
         sizes = [geometric_size(rng, cap=50) for _ in range(2000)]
         assert all(0 <= s <= 50 for s in sizes)
         assert max(sizes) == 50  # the tail does get exercised
+
+    def test_geometric_size_draws_what_the_formula_draws(self) -> None:
+        p = 1.0 / harness.SIZE_GEOMETRIC_MEAN
+        for cap in (64, 128, 255):
+            rng, ref = derive_rng(0, f"sizes/{cap}"), derive_rng(0, f"sizes/{cap}")
+            drawn = [geometric_size(rng, cap) for _ in range(10_000)]
+            assert drawn == [min(int(math.log1p(-ref.random()) / math.log(1.0 - p)), cap) for _ in range(10_000)]
 
 
 class DrawLimitedStub:

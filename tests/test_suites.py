@@ -321,6 +321,31 @@ def test_each_record_is_checked_in_its_one_constructor() -> None:
     assert aliased == {"Cost", "Charged", "Sealed", "Node"}
 
 
+def test_tree_code_reads_no_color_member_in_a_function() -> None:
+    """No function body in ``rbtree.py`` reads ``Color.<member>``.
+
+    CPython 3.11's ``EnumType`` defines ``__getattr__``, so such a read
+    costs several times a module global's; module and class level bind
+    the members once.
+    """
+    tree = ast.parse(Path(rbtree.__file__).read_text(encoding="utf-8"))
+    reads = [f"{fn.name}:{node.lineno}" for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+             for stmt in fn.body for node in ast.walk(stmt)
+             if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+             and node.value.id == "Color" and node.attr in rbtree.Color.__members__]
+    assert reads == []
+
+
+def test_phase_roundtrip_walks_a_pool_tree_about_once(monkeypatch: pytest.MonkeyPatch) -> None:
+    """The run's image memo still holds a pool tree when it is sampled again."""
+    walked = []  # keeps every walked tree alive, so their ids are distinct
+    monkeypatch.setattr(suites, "elements", lambda t: walked.append(t) or rbtree.elements(t))
+    suites.REGISTRY["phase/roundtrip"](seed=1, iterations=3000, mode=EvaluationMode.FULL)
+    trees = len({id(t) for t in walked})
+    assert 0 < trees < 2000  # the run walks through ``suites.elements``; pool trees are sampled again
+    assert len(walked) - trees <= trees // 50
+
+
 @pytest.mark.parametrize(
     "name", ["rbtree/universal", "queues/noninterference", "queues/coherence", "sorting/bounds", "rbtree/reduce"])
 def test_concrete_mode_counts_no_unjudged_case(name: str) -> None:
