@@ -36,9 +36,9 @@ class SuiteConfig:
     """Everything a suite run depends on."""
 
     suite: str
-    seed: int = 0
-    iterations: int = 1000
-    mode: EvaluationMode = EvaluationMode.FULL
+    seed: int
+    iterations: int
+    mode: EvaluationMode
 
 
 def run_suite(config: SuiteConfig) -> Report:

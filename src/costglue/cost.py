@@ -5,13 +5,16 @@ form an ordered additive monoid; composition of charged computations
 accumulates cost additively, so a computation's total cost is the sum of
 the charges along the path that produced its value.  ``erase`` moves a
 charged value into the behavioral world where cost is invisible.
+
+``MonoidOps`` is a monoid whose append is charged: the target interface
+of the structural folds and of the harness's monoid laws.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import Callable, Generic, TypeVar, Union
+from typing import Any, Callable, Generic, TypeVar, Union
 
 T = TypeVar("T")
 U = TypeVar("U")
@@ -138,3 +141,12 @@ def leq(a: Charged[T], b: Charged[T], eq: Callable[[T, T], bool] = operator.eq) 
     trivial, so the order collapses to plain behavioral equality.
     """
     return a.cost.value <= b.cost.value and bool(eq(a.value, b.value))
+
+
+@dataclass(frozen=True)
+class MonoidOps:
+    """A carrier's monoid interface: empty, charged append, singleton."""
+
+    empty: Any
+    append: Callable[[Any, Any], Charged[Any]]
+    singleton: Callable[[Any], Any]

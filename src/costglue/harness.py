@@ -4,7 +4,8 @@ The checkers here compare implementations against abstract models
 through abstraction functions: commuting squares (strict on cost or
 lax), noninterference between interchangeable implementations, monoid
 and homomorphism laws stated on abstraction images, and the universal
-property of structural folds.
+property of structural folds.  A checker that reads a monoid takes it
+as one ``cost.MonoidOps``.
 
 One ``ReportBuilder`` is the sweep object of a suite run: it holds the
 configuration, derives the RNG streams (``rb.rng(stream)``), gates what
@@ -32,7 +33,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Sequence, Tuple
 
-from .cost import Charged
+from .cost import Charged, MonoidOps
 from .phase import AbstractionFn, EvaluationMode, abstract_equal
 
 SIZE_GEOMETRIC_MEAN = 32
@@ -51,7 +52,7 @@ def derive_rng(seed: int, suite: str) -> random.Random:
     return random.Random(f"{seed}:{suite}")
 
 
-def geometric_size(rng: random.Random, cap: int = 256) -> int:
+def geometric_size(rng: random.Random, cap: int) -> int:
     """Sample a size with a geometric profile (many small, few large)."""
     k = int(math.log1p(-rng.random()) / _LOG_GEOMETRIC_STAY)
     return min(k, cap)
@@ -333,23 +334,6 @@ def check_noninterference(
 
 # -- abstract algebraic laws ----------------------------------------------
 
-@dataclass(frozen=True)
-class MonoidOps:
-    """A carrier's monoid interface: empty, charged append, singleton."""
-
-    empty: Any
-    append: Callable[[Any, Any], Charged[Any]]
-    singleton: Callable[[Any], Any]
-
-
-@dataclass(frozen=True)
-class TargetMonoid:
-    """A fold target: named monoid operations; results are judged by ``==``."""
-
-    name: str
-    ops: MonoidOps
-
-
 def fold_elements(ops: MonoidOps, elems: Sequence[Any]) -> Any:
     """The canonical list fold: append singletons left to right."""
     acc = ops.empty
@@ -361,8 +345,7 @@ def fold_elements(ops: MonoidOps, elems: Sequence[Any]) -> Any:
 def check_abstract_monoid(
     rb: ReportBuilder,
     stream: str,
-    empty: Any,
-    append: Callable[[Any, Any], Charged[Any]],
+    ops: MonoidOps,
     alpha: AbstractionFn,
     inputs: Callable[[random.Random], Any],
     n: int,
@@ -377,7 +360,7 @@ def check_abstract_monoid(
     if not rb.check_beh:
         return
     rng = rb.rng(stream)
-    image = alpha.apply
+    image, empty, append = alpha.apply, ops.empty, ops.append
     for _ in range(n):
         a, b, c = inputs(rng), inputs(rng), inputs(rng)
         left = append(append(a, b).value, c).value
@@ -445,20 +428,13 @@ def check_abstract_hom(
         rb.equal("hom/singleton", e, image(dst_ops.singleton(e)), image(f(src_ops.singleton(e)).value), eq)
 
 
-@dataclass(frozen=True)
-class SequenceImpl:
-    """A sequence carrier: its monoid ops, structural fold, and element view."""
-
-    ops: MonoidOps
-    mapreduce: Callable[[Any, MonoidOps], Charged[Any]]
-    alpha: AbstractionFn
-
-
 def check_universal_property(
     rb: ReportBuilder,
     stream: str,
-    seq: SequenceImpl,
-    target: TargetMonoid,
+    fold: Callable[[Any, MonoidOps], Charged[Any]],
+    alpha: AbstractionFn,
+    target: str,
+    ops: MonoidOps,
     inputs: Callable[[random.Random], Any],
     n: int,
     *,
@@ -466,8 +442,9 @@ def check_universal_property(
 ) -> None:
     """The structural fold is the canonical homomorphism to the target.
 
-    On every sampled carrier value, ``mapreduce`` into the target must
-    agree with the list fold over the value's elements; any additional
+    On every sampled carrier value, ``fold`` into the monoid ``ops``
+    (named ``target`` in the laws) must agree with the list fold over the
+    value's elements, its image under ``alpha``; any additional
     homomorphisms supplied must agree with it too (uniqueness, at the
     scale of the sweep).  When ``rb.check_cost``, the fold's reported
     cost must also equal the sum of the costs the target's ``append``
@@ -480,32 +457,32 @@ def check_universal_property(
 
     def metered_append(x: Any, y: Any) -> Charged[Any]:
         nonlocal metered
-        out = target.ops.append(x, y)
+        out = ops.append(x, y)
         metered += out.cost.value
         return out
 
-    ops = MonoidOps(target.ops.empty, metered_append, target.ops.singleton)
+    metered_ops = MonoidOps(ops.empty, metered_append, ops.singleton)
     for _ in range(n):
         x = inputs(rng)
-        folded = fold_elements(target.ops, seq.alpha.apply(x))
+        folded = fold_elements(ops, alpha.apply(x))
         metered = 0
-        out = seq.mapreduce(x, ops)
+        out = fold(x, metered_ops)
         reduced = out.value
         rb.case(
             reduced == folded,
-            f"universal/{target.name}/agrees-with-fold",
-            lambda: (render(seq.alpha.apply(x)), render(folded), render(reduced)),
+            f"universal/{target}/agrees-with-fold",
+            lambda: (render(alpha.apply(x)), render(folded), render(reduced)),
         )
         if rb.check_cost:
             rb.case(
                 out.cost.value == metered,
-                f"universal/{target.name}/cost-metered",
-                lambda: (render(seq.alpha.apply(x)), metered, out.cost.value),
+                f"universal/{target}/cost-metered",
+                lambda: (render(alpha.apply(x)), metered, out.cost.value),
             )
         for hom_name, hom in extra_homs:
             other = hom(x).value
             rb.case(
                 other == reduced,
-                f"universal/{target.name}/unique/{hom_name}",
-                lambda: (render(seq.alpha.apply(x)), render(reduced), render(other)),
+                f"universal/{target}/unique/{hom_name}",
+                lambda: (render(alpha.apply(x)), render(reduced), render(other)),
             )

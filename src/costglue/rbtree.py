@@ -46,9 +46,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Callable, Iterable, List, Optional, Tuple
 
-from .cost import Charged, Cost, ret
-from .harness import MonoidOps
-from .phase import AbstractionFn, InvariantBreach, last_image
+from .cost import Charged, Cost, MonoidOps, ret
+from .phase import AbstractionFn, InvariantBreach
 
 # Cost of append is bounded by APPEND_BOUND_FACTOR * (|bh1 - bh2| + 2).
 # One spine step builds at most four nodes (a red rebuild plus a
@@ -213,7 +212,7 @@ def same_elements(x: RBTree, y: RBTree) -> bool:
     return _same_leaves([x], [y])
 
 
-ELEMENTS_ALPHA: AbstractionFn = AbstractionFn(apply=last_image(elements), kernel=same_elements)
+ELEMENTS_ALPHA: AbstractionFn = AbstractionFn(apply=elements, kernel=same_elements)
 
 
 def validate(t: RBTree) -> None:

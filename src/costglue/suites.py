@@ -22,14 +22,11 @@ import random
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import rbtree
-from .cost import ONE, Charged, Cost, bind, charge, erase, leq, ret
+from .cost import ONE, Charged, Cost, MonoidOps, bind, charge, erase, leq, ret
 from .harness import (
-    MonoidOps,
     Report,
     ReportBuilder,
-    SequenceImpl,
     SquareSpec,
-    TargetMonoid,
     check_abstract_hom,
     check_abstract_monoid,
     check_noninterference,
@@ -214,13 +211,14 @@ def phase_roundtrip(rb: ReportBuilder) -> None:
     tree_alpha = dataclasses.replace(ELEMENTS_ALPHA, apply=recent_images(elements, 2 * _POOL_TREES))
     for i in range(rb.iterations):
         s = _random_batched_state(rng)
-        g = glue(s, rev_append(s), BATCHED_ALPHA)
+        image = rev_append(s)
+        g = glue(s, image, BATCHED_ALPHA)
         rb.equal("phase/glue-fracture-queue", s, g, glue(*fracture(g)))
         parts = fracture(g)
         rb.case(
-            parts == (s, rev_append(s), BATCHED_ALPHA),
+            parts == (s, image, BATCHED_ALPHA),
             "phase/fracture-components-queue",
-            lambda: (s, render((s, rev_append(s))), render(parts[:2])),
+            lambda: (s, render((s, image)), render(parts[:2])),
         )
 
         trees.grow()
@@ -234,7 +232,7 @@ def phase_roundtrip(rb: ReportBuilder) -> None:
         )
 
         if i % 64 == 0:
-            claimed = rev_append(s) + (999,)
+            claimed = image + (999,)
             try:
                 glue(s, claimed, BATCHED_ALPHA)
                 rb.fail("phase/glue-rejects-incoherent", s, "CoherenceError", "no error")
@@ -545,26 +543,9 @@ def queues_noninterference(rb: ReportBuilder) -> None:
 # ---------------------------------------------------------------------------
 # rbtree suites
 
-SUM_TARGET = TargetMonoid(
-    name="nat-sum",
-    ops=MonoidOps(empty=0, append=lambda x, y: Charged(ONE, x + y), singleton=lambda e: 1),
-)
-LIST_TARGET = TargetMonoid(
-    name="list",
-    ops=MonoidOps(empty=(), append=lambda x, y: Charged(ONE, x + y), singleton=lambda e: (e,)),
-)
-MAX_TARGET = TargetMonoid(
-    name="nat-max",
-    ops=MonoidOps(empty=0, append=lambda x, y: Charged(ONE, max(x, y)), singleton=lambda e: e),
-)
-
-# ``append`` and ``mapreduce`` are looked up when called, so a replacement
-# installed in this module reaches the sequence's operations too.
-TREE_SEQUENCE = SequenceImpl(
-    ops=MonoidOps(empty=EMPTY, append=lambda a, b: append(a, b), singleton=singleton),
-    mapreduce=lambda t, ops: mapreduce(t, ops),
-    alpha=ELEMENTS_ALPHA,
-)
+SUM_OPS = MonoidOps(empty=0, append=lambda x, y: Charged(ONE, x + y), singleton=lambda e: 1)
+LIST_OPS = MonoidOps(empty=(), append=lambda x, y: Charged(ONE, x + y), singleton=lambda e: (e,))
+MAX_OPS = MonoidOps(empty=0, append=lambda x, y: Charged(ONE, max(x, y)), singleton=lambda e: e)
 
 
 @register("rbtree/invariants")
@@ -638,8 +619,7 @@ def rbtree_invariants(rb: ReportBuilder) -> None:
     check_abstract_monoid(
         rb,
         "/monoid",
-        EMPTY,
-        append,
+        MonoidOps(EMPTY, append, singleton),
         ELEMENTS_ALPHA,
         lambda r: pool.pool[randbelow(r, len(pool.pool))],
         samples,
@@ -650,7 +630,7 @@ def rbtree_invariants(rb: ReportBuilder) -> None:
         clients = (
             ("elements", lambda t: elements(t)),
             ("length", lambda t: length_fast(t)),
-            ("mapreduce-sum", lambda t: mapreduce(t, SUM_TARGET.ops).value),
+            ("mapreduce-sum", lambda t: mapreduce(t, SUM_OPS).value),
             ("reduce-max", lambda t: reduce(lambda x, y: Charged(ONE, max(x, y)), 0, t).value),
         )
         for _ in range(samples):
@@ -678,38 +658,21 @@ def rbtree_universal(rb: ReportBuilder) -> None:
     def tree_gen(r: random.Random) -> rbtree.RBTree:
         return pool.pool[randbelow(r, len(pool.pool))]
 
-    check_universal_property(
-        rb,
-        "/nat-sum",
-        TREE_SEQUENCE,
-        SUM_TARGET,
-        tree_gen,
-        rb.iterations,
-        extra_homs=(("cached-length", lambda t: Charged(ONE, length_fast(t))),),
+    targets = (
+        ("nat-sum", SUM_OPS, (("cached-length", lambda t: Charged(ONE, length_fast(t))),)),
+        ("list", LIST_OPS, (("elements", lambda t: ret(elements(t))),)),
+        ("nat-max", MAX_OPS, ()),
     )
-    check_universal_property(
-        rb,
-        "/list",
-        TREE_SEQUENCE,
-        LIST_TARGET,
-        tree_gen,
-        rb.iterations,
-        extra_homs=(("elements", lambda t: ret(elements(t))),),
-    )
-    check_universal_property(
-        rb,
-        "/nat-max",
-        TREE_SEQUENCE,
-        MAX_TARGET,
-        tree_gen,
-        rb.iterations,
-    )
+    for target, ops, extra_homs in targets:
+        check_universal_property(
+            rb, f"/{target}", mapreduce, ELEMENTS_ALPHA, target, ops, tree_gen, rb.iterations, extra_homs=extra_homs
+        )
     check_abstract_hom(
         rb,
         "/length-hom",
-        lambda t: mapreduce(t, SUM_TARGET.ops),
-        TREE_SEQUENCE.ops,
-        SUM_TARGET.ops,
+        lambda t: mapreduce(t, SUM_OPS),
+        MonoidOps(EMPTY, append, singleton),
+        SUM_OPS,
         (ELEMENTS_ALPHA, AbstractionFn(apply=lambda n: n)),
         lambda r: (tree_gen(r), tree_gen(r), randbelow(r, 100)),
         rb.iterations,

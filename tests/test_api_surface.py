@@ -1,6 +1,6 @@
 """The library's public surface is what its own code and the benchmark use.
 
-Two guards, both read from the source with ``ast``:
+Three guards, all read from the source with ``ast``:
 
 * every public module-level function or class of ``costglue`` is named
   somewhere in ``src/`` or ``perfbench/`` beyond its own definition and
@@ -9,7 +9,9 @@ Two guards, both read from the source with ``ast``:
   exempt;
 * every ``costglue`` name that ``perfbench/*.py`` reads resolves, and
   every call it makes to one binds to the callee's signature, so a
-  deletion cannot silently break the benchmark.
+  deletion cannot silently break the benchmark;
+* the library modules import nothing from the checker (``harness``,
+  ``suites``, ``cli``), so the data structures stand without it.
 """
 
 from __future__ import annotations
@@ -123,3 +125,35 @@ def test_every_costglue_name_the_benchmark_reads_resolves() -> None:
     # The benchmark reads, among others, rbtree._validate,
     # rbtree.Node.__post_init__, cli.SuiteConfig and queues.run_trace.
     assert checked > 20
+
+
+LIBRARY = ("cost", "phase", "sealing", "queues", "rbtree", "sorting")
+CHECKER = {"harness", "suites", "cli"}
+
+
+def _imported_modules(tree: ast.Module) -> Iterator[str]:
+    """The ``costglue`` modules a package module imports, by their short names."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            path = (node.module or "").split(".")
+            if not node.level:
+                if path[0] != "costglue":
+                    continue
+                path = path[1:]
+            if path and path[0]:
+                yield path[0]
+            else:  # ``from . import x`` or ``from costglue import x``
+                yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                path = alias.name.split(".")
+                if path[0] == "costglue" and len(path) > 1:
+                    yield path[1]
+
+
+def test_the_library_imports_nothing_from_the_checker() -> None:
+    offending = {
+        module: sorted(CHECKER.intersection(_imported_modules(_parse(PACKAGE / f"{module}.py"))))
+        for module in LIBRARY
+    }
+    assert {m: names for m, names in offending.items() if names} == {}

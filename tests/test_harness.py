@@ -10,14 +10,11 @@ import random
 import pytest
 
 from costglue import harness
-from costglue.cost import Charged, Cost, charge, ret
+from costglue.cost import Charged, Cost, MonoidOps, charge, ret
 from costglue.harness import (
     Failure,
-    MonoidOps,
     ReportBuilder,
-    SequenceImpl,
     SquareSpec,
-    TargetMonoid,
     check_abstract_hom,
     check_abstract_monoid,
     check_noninterference,
@@ -383,8 +380,7 @@ class TestCheckAbstractMonoid:
     def test_tuple_monoid_passes(self) -> None:
         rep = sweep(
             check_abstract_monoid,
-            (),
-            TUPLE_OPS.append,
+            TUPLE_OPS,
             IDENTITY,
             lambda rng: tuple(rng.randrange(5) for _ in range(rng.randrange(4))),
             30,
@@ -394,10 +390,9 @@ class TestCheckAbstractMonoid:
         assert rep.cases == 90  # assoc + both units per sample
 
     def test_left_biased_append_fails_left_unit(self) -> None:
-        first = lambda a, b: ret(a)
+        first = MonoidOps(empty=(), append=lambda a, b: ret(a), singleton=lambda e: (e,))
         rep = sweep(
             check_abstract_monoid,
-            (),
             first,
             IDENTITY,
             lambda rng: (rng.randrange(5),),
@@ -416,13 +411,13 @@ class TestCheckAbstractMonoid:
 
         alpha = AbstractionFn(apply=counted, kernel=lambda x, y: x == y)
         draw = lambda rng: tuple(rng.randrange(5) for _ in range(rng.randrange(4)))  # noqa: E731
-        rep = sweep(check_abstract_monoid, (), TUPLE_OPS.append, alpha, draw, 30, seed=1)
+        rep = sweep(check_abstract_monoid, TUPLE_OPS, alpha, draw, 30, seed=1)
         assert rep.passed and rep.cases == 90 and images == []
-        first = lambda a, b: ret(a)  # noqa: E731
-        with_kernel = sweep(check_abstract_monoid, (), first, alpha, draw, 10, seed=1)
+        first = MonoidOps(empty=(), append=lambda a, b: ret(a), singleton=lambda e: (e,))
+        with_kernel = sweep(check_abstract_monoid, first, alpha, draw, 10, seed=1)
         assert not with_kernel.passed and images
         # Failure records read exactly as when the images are compared.
-        assert with_kernel == sweep(check_abstract_monoid, (), first, IDENTITY, draw, 10, seed=1)
+        assert with_kernel == sweep(check_abstract_monoid, first, IDENTITY, draw, 10, seed=1)
 
 
 class TestCheckAbstractHom:
@@ -461,12 +456,6 @@ class TestCheckAbstractHom:
 
 
 class TestUniversalProperty:
-    TUPLE_SEQ = SequenceImpl(
-        ops=TUPLE_OPS,
-        mapreduce=lambda t, ops: fold_and_charge(t, ops),
-        alpha=IDENTITY,
-    )
-
     def test_fold_elements(self) -> None:
         assert fold_elements(SUM_OPS, (1, 2, 3)) == 6
         assert fold_elements(TUPLE_OPS, "ab") == ("a", "b")
@@ -474,8 +463,10 @@ class TestUniversalProperty:
     def test_structural_fold_agrees(self) -> None:
         rep = sweep(
             check_universal_property,
-            self.TUPLE_SEQ,
-            TargetMonoid("sum", SUM_OPS),
+            fold_and_charge,
+            IDENTITY,
+            "sum",
+            SUM_OPS,
             lambda rng: tuple(rng.randrange(9) for _ in range(rng.randrange(6))),
             20,
             seed=3,
@@ -485,8 +476,10 @@ class TestUniversalProperty:
     def test_uniqueness_flags_an_imposter(self) -> None:
         rep = sweep(
             check_universal_property,
-            self.TUPLE_SEQ,
-            TargetMonoid("sum", SUM_OPS),
+            fold_and_charge,
+            IDENTITY,
+            "sum",
+            SUM_OPS,
             lambda rng: tuple(rng.randrange(9) for _ in range(1 + rng.randrange(5))),
             10,
             seed=3,
@@ -497,21 +490,17 @@ class TestUniversalProperty:
 
     def test_reported_cost_is_metered(self) -> None:
         draw = lambda rng: tuple(rng.randrange(9) for _ in range(rng.randrange(6)))  # noqa: E731
-        lawful = sweep(check_universal_property, self.TUPLE_SEQ, TargetMonoid("sum", SUM_OPS), draw, 20, seed=3)
+        lawful = sweep(check_universal_property, fold_and_charge, IDENTITY, "sum", SUM_OPS, draw, 20, seed=3)
         assert lawful.passed and lawful.cases == 40  # agrees-with-fold and cost-metered
-        overcharging = SequenceImpl(
-            ops=TUPLE_OPS,
-            mapreduce=lambda t, ops: charge(int(len(t) > 2), fold_and_charge(t, ops)),
-            alpha=IDENTITY,
-        )
-        rep = sweep(check_universal_property, overcharging, TargetMonoid("sum", SUM_OPS), draw, 20, seed=3)
+        overcharging = lambda t, ops: charge(int(len(t) > 2), fold_and_charge(t, ops))  # noqa: E731
+        rep = sweep(check_universal_property, overcharging, IDENTITY, "sum", SUM_OPS, draw, 20, seed=3)
         assert {f.law for f in rep.failures} == {"universal/sum/cost-metered"}
         failure = rep.failures[0]
         assert int(failure.actual) == int(failure.expected) + 1
         # Behavioral mode erases cost, so it neither meters nor counts;
         # concrete mode judges no abstract agreement, so it samples nothing.
         for mode, cases in ((EvaluationMode.BEHAVIORAL, 20), (EvaluationMode.CONCRETE, 0)):
-            quiet = sweep(check_universal_property, overcharging, TargetMonoid("sum", SUM_OPS), draw, 20,
+            quiet = sweep(check_universal_property, overcharging, IDENTITY, "sum", SUM_OPS, draw, 20,
                           seed=3, mode=mode)
             assert quiet.passed and quiet.cases == cases
 

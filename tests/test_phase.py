@@ -240,7 +240,7 @@ class TestRecentImages:
 
 
 class TestLastImage(TestRecentImages):
-    """``last_image``, the one-image memo of ``ELEMENTS_ALPHA`` and ``queues/coherence``'s step chain."""
+    """``last_image``, the one-image memo of ``queues/coherence``'s step chain."""
 
     keep = 1
 

@@ -7,8 +7,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from costglue.cost import MAX_COST, Charged, Cost, ret
-from costglue.harness import MonoidOps
+from costglue.cost import MAX_COST, Charged, Cost, MonoidOps, ret
 from costglue.rbtree import (
     APPEND_BOUND_FACTOR,
     ELEMENTS_ALPHA,
