@@ -13,16 +13,10 @@ either image.  ``abstract_equal`` uses it when present, so a checker can
 compare two large representations in time proportional to where they
 differ rather than to their size.
 
-``last_image`` memoises an abstraction function's last image, and
-``recent_images`` its last ``keep`` images, first in first out, by the
-identity of the argument, which each entry holds so that a reused ``id``
-never matches; key them only on frozen carriers, whose image never
-changes.  Use ``last_image`` where a value is read on consecutive calls,
-as along a chain of steps: a miss costs it less than half what it costs
-the dictionary of ``recent_images``.  Use ``recent_images`` where a pool
-of values is sampled again many calls later, with ``keep`` twice the
-pool's size.  ``glue`` still checks coherence every time, on the true
-image.
+``last_image`` memoises an abstraction function's last image by the
+identity of the argument, which it holds so that a reused ``id`` never
+matches; key it only on frozen carriers, whose image never changes.
+``glue`` still checks coherence every time, on the true image.
 
 ``EvaluationMode`` names what a suite run may observe; the harness's
 ``ReportBuilder`` turns it into the gates its checkers consult
@@ -35,7 +29,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Callable, Dict, Generic, Optional, Tuple, TypeVar
+from typing import Any, Callable, Generic, Optional, Tuple, TypeVar
 
 C = TypeVar("C")
 A = TypeVar("A")
@@ -90,27 +84,6 @@ def last_image(apply: Callable[[C], A]) -> Callable[[C], A]:
         hit = last  # one read, so a key is never paired with another key's image
         if hit[0] is not x:
             hit = last = (x, apply(x))
-        return hit[1]
-
-    return image
-
-
-def recent_images(apply: Callable[[C], A], keep: int) -> Callable[[C], A]:
-    """``apply`` remembering its last ``keep`` images, for frozen carriers only.
-
-    Keyed by ``id``; each entry holds its argument, so an entry's ``id``
-    cannot be reused while the entry lives.  A miss past ``keep`` entries
-    drops the oldest inserted one.
-    """
-    memo: Dict[int, Tuple[Any, Any]] = {}
-
-    def image(x: C) -> A:
-        key = id(x)
-        hit = memo.get(key)
-        if hit is None:
-            if len(memo) >= keep:
-                del memo[next(iter(memo))]
-            hit = memo[key] = (x, apply(x))
         return hit[1]
 
     return image

@@ -33,13 +33,12 @@ from .harness import (
     check_square,
     check_universal_property,
     commute,
-    derive_rng,
     geometric_size,
     randbelow,
     random_items,
     render,
 )
-from .phase import AbstractionFn, CoherenceError, EvaluationMode, abstract_equal, fracture, glue, last_image, recent_images
+from .phase import AbstractionFn, CoherenceError, EvaluationMode, abstract_equal, fracture, glue, last_image
 from .queues import (
     BATCHED_ALPHA,
     BATCHED_QUEUE,
@@ -205,23 +204,30 @@ def phase_roundtrip(rb: ReportBuilder) -> None:
     """Fracture then glue is the identity, and glue rejects incoherent pairs."""
     rng = rb.rng()
     trees = _TreePool(rng, cap=256)
-    # A pool tree comes back a median of 87 iterations after its last
-    # sample, long after a one-image memo has moved on; this run's memo
-    # holds twice the pool's trees, and is dropped with the run.
-    tree_alpha = dataclasses.replace(ELEMENTS_ALPHA, apply=recent_images(elements, 2 * _POOL_TREES))
+    for _ in range(min(rb.iterations, _POOL_TREES)):
+        trees.grow()
+    # Each distinct pool tree is imaged once.  The pool holds its trees for
+    # the run, so no key's id is reused, and it may hold one tree twice
+    # (``append(EMPTY, b)`` is ``b``).  A tree outside the pool, such as a
+    # rebuilt one from a broken ``fracture``, is walked.
+    images: Dict[int, Tuple[Any, ...]] = {}
+    for t in trees.pool:
+        if id(t) not in images:
+            images[id(t)] = elements(t)
+    tree_alpha = dataclasses.replace(
+        ELEMENTS_ALPHA, apply=lambda t: images[id(t)] if id(t) in images else elements(t))
     for i in range(rb.iterations):
         s = _random_batched_state(rng)
         image = rev_append(s)
         g = glue(s, image, BATCHED_ALPHA)
-        rb.equal("phase/glue-fracture-queue", s, g, glue(*fracture(g)))
         parts = fracture(g)
+        rb.equal("phase/glue-fracture-queue", s, g, glue(*parts))
         rb.case(
             parts == (s, image, BATCHED_ALPHA),
             "phase/fracture-components-queue",
             lambda: (s, render((s, image)), render(parts[:2])),
         )
 
-        trees.grow()
         t = trees.sample()
         gt = glue(t, tree_alpha.apply(t), tree_alpha)
         back_t = glue(*fracture(gt))
@@ -506,12 +512,9 @@ STACK_IMPL = QueueImpl(
 )
 
 
-def membership_traces(seed: int) -> List[Tuple[Tuple[str, Tuple[Any, ...]], ...]]:
-    """Deterministic trace sample for specification membership checks."""
-    rng = derive_rng(seed, "queues/membership")
-    traces = exhaustive_traces(3, (1, 2))
-    traces += [random_trace(rng, max_len=50) for _ in range(20)]
-    return traces
+def membership_traces(rng: random.Random) -> List[Tuple[Tuple[str, Tuple[Any, ...]], ...]]:
+    """Every trace of length at most 3 over two elements, and 20 random traces of length at most 50."""
+    return exhaustive_traces(3, (1, 2)) + [random_trace(rng, max_len=50) for _ in range(20)]
 
 
 @register("queues/noninterference")
@@ -527,7 +530,7 @@ def queues_noninterference(rb: ReportBuilder) -> None:
     """
     if not rb.check_beh:
         return
-    traces = membership_traces(rb.seed)
+    traces = membership_traces(rb.rng("/membership"))
     shown = f"{len(traces)} traces"
     rb.equal("queues/spec-member/batched", shown, True, queue_spec_member(BATCHED_QUEUE, LIST_QUEUE, traces))
     rb.equal("queues/spec-member/list", shown, True, queue_spec_member(LIST_QUEUE, LIST_QUEUE, traces))

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import pytest
 
-from costglue import cost, queues, rbtree, sealing, sorting, suites
+from costglue import cost, phase, queues, rbtree, sealing, sorting, suites
 from costglue.cost import Charged, Cost
 from costglue.phase import EvaluationMode
 from costglue.queues import BatchedQueueState
@@ -126,6 +126,21 @@ def inbox_losing_dequeue(s):
     return queues.batched_dequeue(s)
 
 
+def normalising_glue(concrete, abstract, alpha):
+    """Stores a batched state with more than one inbox element with its inbox reversed onto the outbox."""
+    if isinstance(concrete, BatchedQueueState) and len(concrete.inbox) > 1:
+        concrete = BatchedQueueState((), queues.rev_append(concrete))
+    return phase.glue(concrete, abstract, alpha)
+
+
+def rebuilding_fracture(g):
+    """Returns a tree of more than four leaves rebuilt from its elements."""
+    concrete, abstract, alpha = phase.fracture(g)
+    if isinstance(concrete, rbtree.RBTree) and concrete.size > 4:
+        concrete = rbtree.from_iterable(rbtree.elements(concrete))
+    return concrete, abstract, alpha
+
+
 MUTANTS = [
     (suites, "append", subtree_dropping_append),
     (suites, "append", stale_size_append),
@@ -147,6 +162,8 @@ MUTANTS = [
     (suites, "batched_dequeue", overcharging_dequeue),
     (suites, "batched_dequeue", wrong_element_dequeue),
     (suites, "batched_dequeue", inbox_losing_dequeue),
+    (suites, "glue", normalising_glue),
+    (suites, "fracture", rebuilding_fracture),
 ]
 
 

@@ -8,7 +8,6 @@ import sys
 import pytest
 from hypothesis import given, strategies as st
 
-from costglue.harness import derive_rng
 from costglue.phase import (
     AbstractionFn,
     CoherenceError,
@@ -18,12 +17,10 @@ from costglue.phase import (
     fracture,
     glue,
     last_image,
-    recent_images,
     spec_member,
 )
 from costglue.queues import BATCHED_ALPHA, BatchedQueueState, rev_append
 from costglue.rbtree import elements, from_iterable, same_elements
-from costglue.suites import _POOL_TREES, _TreePool
 
 elems = st.integers(min_value=0, max_value=99)
 batched_states = st.builds(
@@ -184,77 +181,42 @@ class TestAbstractionFn:
         assert BATCHED_ALPHA.apply(BatchedQueueState((3,), (1, 2))) == (1, 2, 3)
 
 
-class TestRecentImages:
-    """``recent_images`` at a ``keep`` of 4; ``TestLastImage`` holds ``last_image`` to the same tests at 1."""
-
-    keep = 4
-
-    def memo(self, apply):
-        return recent_images(apply, self.keep)
+class TestLastImage:
+    """``last_image``, the one-image memo of ``queues/coherence``'s step chain."""
 
     def test_a_repeat_call_returns_the_same_image(self) -> None:
         reads = []
-        image = self.memo(lambda s: reads.append(s) or rev_append(s))
+        image = last_image(lambda s: reads.append(s) or rev_append(s))
         s = BatchedQueueState((3,), (1, 2))
-        others = [BatchedQueueState((), (i,)) for i in range(self.keep - 1)]
         first = image(s)
-        for other in others:  # reads between the two, ``keep`` distinct keys in all
-            image(other)
         assert image(s) is first
-        assert reads == [s, *others]
+        assert reads == [s]
 
     def test_a_new_object_is_recomputed(self) -> None:
         reads = []
-        image = self.memo(lambda s: reads.append(s) or rev_append(s))
+        image = last_image(lambda s: reads.append(s) or rev_append(s))
         s, twin = BatchedQueueState((3,), (1, 2)), BatchedQueueState((3,), (1, 2))
         image(s)
         assert image(twin) == (1, 2, 3)
         assert len(reads) == 2 and reads[1] is twin
 
     def test_the_empty_slot_matches_no_argument(self) -> None:
-        assert self.memo(lambda x: "computed")(None) == "computed"
+        assert last_image(lambda x: "computed")(None) == "computed"
 
     def test_the_memo_holds_its_key(self) -> None:
-        image = self.memo(rev_append)
+        image = last_image(rev_append)
         s = BatchedQueueState((), (1,))
         before = sys.getrefcount(s)
         image(s)
         assert sys.getrefcount(s) == before + 1
-        others = [BatchedQueueState((), (i,)) for i in range(2, self.keep + 1)]
-        for other in others:  # ``keep`` distinct keys read: all are held
-            image(other)
-        assert sys.getrefcount(s) == before + 1
-        held = [sys.getrefcount(other) for other in others]
-        assert image(s) == (1,)  # a hit does not renew the entry
-        image(BatchedQueueState((), (0,)))  # the ``keep + 1``-th distinct key
+        assert image(s) == (1,)
+        image(BatchedQueueState((), (0,)))  # the next key releases it
         assert sys.getrefcount(s) == before
-        assert [sys.getrefcount(other) for other in others] == held
 
     def test_glue_after_a_memoised_read_still_checks_coherence(self) -> None:
-        alpha = AbstractionFn(apply=self.memo(elements), kernel=same_elements)
+        alpha = AbstractionFn(apply=last_image(elements), kernel=same_elements)
         t = from_iterable((1, 2, 3))
         assert alpha.apply(t) == (1, 2, 3)
         with pytest.raises(CoherenceError):
             glue(t, (1, 2), alpha)
         assert glue(t, (1, 2, 3), alpha).abstract == (1, 2, 3)
-
-
-class TestLastImage(TestRecentImages):
-    """``last_image``, the one-image memo of ``queues/coherence``'s step chain."""
-
-    keep = 1
-
-    def memo(self, apply):
-        return last_image(apply)
-
-
-def test_a_pool_sized_memo_reads_pool_trees_as_elements_does() -> None:
-    """Samples of an evolving tree pool, repeats included, image as ``elements`` does under ``phase/roundtrip``'s memo."""
-    image = recent_images(elements, 2 * _POOL_TREES)
-    pool = _TreePool(derive_rng(1, "memo"), cap=256)
-    samples = []
-    for _ in range(2000):
-        pool.grow()
-        samples.append(pool.sample())
-    assert len({id(t) for t in samples}) < len(samples) // 2  # most samples repeat a tree
-    assert all(image(t) == elements(t) for t in samples)

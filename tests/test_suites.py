@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import cProfile
+import dataclasses
 import pstats
 import tracemalloc
 from pathlib import Path
@@ -128,6 +129,18 @@ def test_seeds_change_sampling() -> None:
     a = REGISTRY["sorting/bounds"](seed=1, iterations=40, mode=EvaluationMode.FULL)
     b = REGISTRY["sorting/bounds"](seed=2, iterations=40, mode=EvaluationMode.FULL)
     assert emit_json(a) != emit_json(b)
+
+
+@pytest.mark.parametrize("name", ["cost/laws", "sealing/laws", "phase/roundtrip", "queues/noninterference"])
+@pytest.mark.parametrize("mode", ALL_MODES)
+def test_seed_free_suites_read_no_draw_in_a_passing_report(name: str, mode: EvaluationMode) -> None:
+    # These suites record no cost rows and only counts when they pass, so
+    # their draws may change without moving a byte of the report.
+    for iterations in (0, 1, 65, 300):
+        a = REGISTRY[name](seed=0, iterations=iterations, mode=mode)
+        b = REGISTRY[name](seed=1, iterations=iterations, mode=mode)
+        assert a.passed
+        assert dataclasses.replace(b, seed=0) == a
 
 
 @pytest.mark.parametrize("name", ALL_SUITES)
@@ -337,13 +350,21 @@ def test_tree_code_reads_no_color_member_in_a_function() -> None:
 
 
 def test_phase_roundtrip_walks_a_pool_tree_about_once(monkeypatch: pytest.MonkeyPatch) -> None:
-    """The run's image memo still holds a pool tree when it is sampled again."""
+    """A passing run walks each distinct tree of its pool once, and no other tree."""
     walked = []  # keeps every walked tree alive, so their ids are distinct
     monkeypatch.setattr(suites, "elements", lambda t: walked.append(t) or rbtree.elements(t))
-    suites.REGISTRY["phase/roundtrip"](seed=1, iterations=3000, mode=EvaluationMode.FULL)
-    trees = len({id(t) for t in walked})
-    assert 0 < trees < 2000  # the run walks through ``suites.elements``; pool trees are sampled again
-    assert len(walked) - trees <= trees // 50
+    rep = suites.REGISTRY["phase/roundtrip"](seed=1, iterations=3000, mode=EvaluationMode.FULL)
+    assert rep.passed
+    assert 0 < len(walked) <= suites._POOL_TREES  # the run walks through ``suites.elements``
+    assert len({id(t) for t in walked}) == len(walked)
+
+
+@pytest.mark.parametrize("iterations", [0, 1, 300])
+def test_phase_roundtrip_grows_its_pool_before_its_loop(monkeypatch: pytest.MonkeyPatch, iterations: int) -> None:
+    appends = []
+    monkeypatch.setattr(suites, "append", lambda a, b: appends.append(None) or rbtree.append(a, b))
+    assert REGISTRY["phase/roundtrip"](seed=0, iterations=iterations, mode=EvaluationMode.FULL).passed
+    assert len(appends) == min(iterations, suites._POOL_TREES)
 
 
 @pytest.mark.parametrize(
