@@ -13,9 +13,9 @@ the mode may observe (``rb.check_beh``, ``rb.check_cost``,
 ``rb.check_concrete``), and every checker records straight into it, so
 the ``Report`` it builds is reproducible byte for byte from its
 configuration.  A gated law records nothing: the monoid, homomorphism,
-universal-property and noninterference checkers return before sampling
-when ``rb.check_beh`` is off, and ``commute`` then records no case, so
-``Report.cases`` counts judged cases only.
+universal-property and noninterference checkers return before reading
+an input when ``rb.check_beh`` is off, and ``commute`` then records no
+case, so ``Report.cases`` counts judged cases only.
 
 Every case is recorded through ``ReportBuilder.case(ok, law, detail)``.
 ``detail`` is a zero-argument callable returning the ``(input, expected,
@@ -430,29 +430,26 @@ def check_abstract_hom(
 
 def check_universal_property(
     rb: ReportBuilder,
-    stream: str,
     fold: Callable[[Any, MonoidOps], Charged[Any]],
     alpha: AbstractionFn,
     target: str,
     ops: MonoidOps,
-    inputs: Callable[[random.Random], Any],
-    n: int,
+    values: Sequence[Any],
     *,
     extra_homs: Sequence[Tuple[str, Callable[[Any], Charged[Any]]]] = (),
 ) -> None:
     """The structural fold is the canonical homomorphism to the target.
 
-    On every sampled carrier value, ``fold`` into the monoid ``ops``
-    (named ``target`` in the laws) must agree with the list fold over the
-    value's elements, its image under ``alpha``; any additional
-    homomorphisms supplied must agree with it too (uniqueness, at the
-    scale of the sweep).  When ``rb.check_cost``, the fold's reported
-    cost must also equal the sum of the costs the target's ``append``
-    returned to it, metered by wrapping that ``append``.
+    On each carrier value in ``values``, judged once and in order,
+    ``fold`` into the monoid ``ops`` (named ``target`` in the laws) must
+    agree with the list fold over the value's elements, its image under
+    ``alpha``; any additional homomorphisms supplied must agree with it
+    too (uniqueness, at the scale of the sweep).  When ``rb.check_cost``,
+    the fold's reported cost must also equal the sum of the costs the
+    target's ``append`` returned to it, metered by wrapping that ``append``.
     """
     if not rb.check_beh:
         return
-    rng = rb.rng(stream)
     metered = 0
 
     def metered_append(x: Any, y: Any) -> Charged[Any]:
@@ -462,8 +459,7 @@ def check_universal_property(
         return out
 
     metered_ops = MonoidOps(ops.empty, metered_append, ops.singleton)
-    for _ in range(n):
-        x = inputs(rng)
+    for x in values:
         folded = fold_elements(ops, alpha.apply(x))
         metered = 0
         out = fold(x, metered_ops)

@@ -168,7 +168,11 @@ _POOL_TREES = 256  # a full _TreePool replaces a random tree with each new one
 
 
 class _TreePool:
-    """A deterministic, evolving population of valid trees."""
+    """A deterministic, evolving population of valid trees, held in slots.
+
+    Two slots may hold one tree (``append(EMPTY, b)`` is ``b``).  That
+    sharing is representation, so suites judge slots, not distinct trees.
+    """
 
     def __init__(self, rng: random.Random, cap: int = 2048):
         self.rng = rng
@@ -176,22 +180,18 @@ class _TreePool:
         self.pool: List[rbtree.RBTree] = [EMPTY] + [
             from_iterable(range(n)) for n in (1, 2, 3, 5, 8, 13)
         ]
-        self._next = 100
+        self._fresh = itertools.count(101)  # the leaves of trees that replace results over ``cap``
 
-    def fresh_leaf(self) -> rbtree.RBTree:
-        self._next += 1
-        return singleton(self._next)
-
-    def sample(self) -> rbtree.RBTree:
-        return self.pool[randbelow(self.rng, len(self.pool))]
+    def sample(self, rng: random.Random) -> rbtree.RBTree:
+        return self.pool[randbelow(rng, len(self.pool))]
 
     def grow(self) -> Tuple[rbtree.RBTree, rbtree.RBTree, Charged[rbtree.RBTree]]:
         """Append two sampled trees, feed the result back into the pool."""
-        a, b = self.sample(), self.sample()
+        a, b = self.sample(self.rng), self.sample(self.rng)
         out = append(a, b)
         t = out.value
         if t.size > self.cap:
-            t = self.fresh_leaf()
+            t = singleton(next(self._fresh))
         if len(self.pool) >= _POOL_TREES:
             self.pool[randbelow(self.rng, len(self.pool))] = t
         else:
@@ -228,7 +228,7 @@ def phase_roundtrip(rb: ReportBuilder) -> None:
             lambda: (s, render((s, image)), render(parts[:2])),
         )
 
-        t = trees.sample()
+        t = trees.sample(rng)
         gt = glue(t, tree_alpha.apply(t), tree_alpha)
         back_t = glue(*fracture(gt))
         rb.case(
@@ -624,7 +624,7 @@ def rbtree_invariants(rb: ReportBuilder) -> None:
         "/monoid",
         MonoidOps(EMPTY, append, singleton),
         ELEMENTS_ALPHA,
-        lambda r: pool.pool[randbelow(r, len(pool.pool))],
+        pool.sample,
         samples,
     )
 
@@ -650,26 +650,21 @@ def rbtree_universal(rb: ReportBuilder) -> None:
     """The structural fold is the unique homomorphism out of the sequence.
 
     ``mapreduce`` into sum, list, and max targets must agree with the
-    canonical list fold over the elements, and report as its cost the sum
-    of the target appends it made; independent homomorphisms (cached
-    length, direct elements) must agree with it on samples.
+    canonical list fold over the elements of each pool slot, folded once
+    per target, and report as its cost the sum of the target appends it
+    made; independent homomorphisms (cached length, direct elements) must
+    agree with it.  ``iterations`` sampled pairs drive the homomorphism laws.
     """
     pool = _TreePool(rb.rng(), cap=512)
     for _ in range(min(rb.iterations, 200)):
         pool.grow()
-
-    def tree_gen(r: random.Random) -> rbtree.RBTree:
-        return pool.pool[randbelow(r, len(pool.pool))]
-
     targets = (
         ("nat-sum", SUM_OPS, (("cached-length", lambda t: Charged(ONE, length_fast(t))),)),
         ("list", LIST_OPS, (("elements", lambda t: ret(elements(t))),)),
         ("nat-max", MAX_OPS, ()),
     )
     for target, ops, extra_homs in targets:
-        check_universal_property(
-            rb, f"/{target}", mapreduce, ELEMENTS_ALPHA, target, ops, tree_gen, rb.iterations, extra_homs=extra_homs
-        )
+        check_universal_property(rb, mapreduce, ELEMENTS_ALPHA, target, ops, pool.pool, extra_homs=extra_homs)
     check_abstract_hom(
         rb,
         "/length-hom",
@@ -677,29 +672,36 @@ def rbtree_universal(rb: ReportBuilder) -> None:
         MonoidOps(EMPTY, append, singleton),
         SUM_OPS,
         (ELEMENTS_ALPHA, AbstractionFn(apply=lambda n: n)),
-        lambda r: (tree_gen(r), tree_gen(r), randbelow(r, 100)),
+        lambda r: (pool.sample(r), pool.sample(r), randbelow(r, 100)),
         rb.iterations,
     )
 
 
 @register("rbtree/reduce")
 def rbtree_reduce(rb: ReportBuilder) -> None:
-    """Element folds stay linear: a unit-cost reduce costs exactly ``2n - 1``, within its ``2n`` budget."""
-    rng = rb.rng()
-    pool = _TreePool(rng, cap=1024)
+    """Element folds stay linear and in order on each nonempty slot of a pool grown first.
+
+    A unit-cost reduce costs exactly ``2n - 1``, within its ``2n`` budget,
+    and reducing with ``first`` returns the first element.
+    """
+    pool = _TreePool(rb.rng(), cap=1024)
+    for _ in range(rb.iterations):
+        pool.grow()
 
     def plus(x: int, y: int) -> Charged[int]:
         return Charged(ONE, x + y)
 
-    for _ in range(rb.iterations):
-        pool.grow()
-        t = pool.sample()
+    def first(x: Any, y: Any) -> Charged[Any]:
+        return Charged(ONE, x)
+
+    for t in pool.pool:
         if t.size == 0:
-            t = singleton(randbelow(rng, 100))
+            continue
         out = reduce(plus, 0, t)
         if rb.check_beh:
-            expected = sum(elements(t))
-            rb.case(out.value == expected, "rbtree/reduce-value", lambda: (render(elements(t)), expected, out.value))
+            items = elements(t)
+            rb.case(out.value == sum(items), "rbtree/reduce-value", lambda: (render(items), sum(items), out.value))
+            rb.equal("rbtree/reduce-order", items, items[0], reduce(first, None, t).value)
         if rb.check_cost:
             rb.case(
                 out.cost.value == 2 * t.size - 1,

@@ -456,53 +456,58 @@ class TestCheckAbstractHom:
 
 
 class TestUniversalProperty:
+    @staticmethod
+    def judge(fold, values, mode: EvaluationMode = FULL, **kwargs):
+        """Run the checker on ``values`` into a fresh builder and return the report."""
+        rb = ReportBuilder("s", 3, 0, mode)
+        check_universal_property(rb, fold, IDENTITY, "sum", SUM_OPS, values, **kwargs)
+        return rb.build()
+
+    @staticmethod
+    def tuples(n: int, min_len: int = 0) -> list:
+        rng = derive_rng(3, "s")
+        return [tuple(rng.randrange(9) for _ in range(min_len + rng.randrange(6 - min_len))) for _ in range(n)]
+
     def test_fold_elements(self) -> None:
         assert fold_elements(SUM_OPS, (1, 2, 3)) == 6
         assert fold_elements(TUPLE_OPS, "ab") == ("a", "b")
 
     def test_structural_fold_agrees(self) -> None:
-        rep = sweep(
-            check_universal_property,
-            fold_and_charge,
-            IDENTITY,
-            "sum",
-            SUM_OPS,
-            lambda rng: tuple(rng.randrange(9) for _ in range(rng.randrange(6))),
-            20,
-            seed=3,
-        )
-        assert rep.passed
+        assert self.judge(fold_and_charge, self.tuples(20)).passed
 
     def test_uniqueness_flags_an_imposter(self) -> None:
-        rep = sweep(
-            check_universal_property,
-            fold_and_charge,
-            IDENTITY,
-            "sum",
-            SUM_OPS,
-            lambda rng: tuple(rng.randrange(9) for _ in range(1 + rng.randrange(5))),
-            10,
-            seed=3,
-            extra_homs=[("imposter", lambda t: ret(sum(t) + 1))],
-        )
+        rep = self.judge(fold_and_charge, self.tuples(10, min_len=1),
+                         extra_homs=[("imposter", lambda t: ret(sum(t) + 1))])
         assert not rep.passed
         assert any("unique/imposter" in f.law for f in rep.failures)
 
     def test_reported_cost_is_metered(self) -> None:
-        draw = lambda rng: tuple(rng.randrange(9) for _ in range(rng.randrange(6)))  # noqa: E731
-        lawful = sweep(check_universal_property, fold_and_charge, IDENTITY, "sum", SUM_OPS, draw, 20, seed=3)
+        values = self.tuples(20)
+        lawful = self.judge(fold_and_charge, values)
         assert lawful.passed and lawful.cases == 40  # agrees-with-fold and cost-metered
         overcharging = lambda t, ops: charge(int(len(t) > 2), fold_and_charge(t, ops))  # noqa: E731
-        rep = sweep(check_universal_property, overcharging, IDENTITY, "sum", SUM_OPS, draw, 20, seed=3)
+        rep = self.judge(overcharging, values)
         assert {f.law for f in rep.failures} == {"universal/sum/cost-metered"}
         failure = rep.failures[0]
         assert int(failure.actual) == int(failure.expected) + 1
         # Behavioral mode erases cost, so it neither meters nor counts;
-        # concrete mode judges no abstract agreement, so it samples nothing.
+        # concrete mode judges no abstract agreement, so it folds nothing.
         for mode, cases in ((EvaluationMode.BEHAVIORAL, 20), (EvaluationMode.CONCRETE, 0)):
-            quiet = sweep(check_universal_property, overcharging, IDENTITY, "sum", SUM_OPS, draw, 20,
-                          seed=3, mode=mode)
+            quiet = self.judge(overcharging, values, mode=mode)
             assert quiet.passed and quiet.cases == cases
+
+    def test_folds_each_value_once_in_order(self) -> None:
+        """Values are judged as given, duplicates included: one fold per position."""
+        values = self.tuples(6) + [(1, 2)] * 2
+        folded = []
+
+        def recording(t, ops):
+            folded.append(t)
+            return fold_and_charge(t, ops)
+
+        rep = self.judge(recording, values)
+        assert rep.passed and rep.cases == 2 * len(values)
+        assert folded == values
 
 
 def fold_and_charge(t, ops: MonoidOps) -> Charged:

@@ -44,6 +44,11 @@ def off_by_one_reduce(f, unit, t):
     return out
 
 
+def argument_swapping_reduce(f, unit, t):
+    """Calls the combiner with its arguments the other way round."""
+    return rbtree.reduce(lambda x, y: f(y, x), unit, t)
+
+
 def overcharging_mapreduce(t, target):
     """Charges one unit more than its appends on trees of more than four leaves."""
     out = rbtree.mapreduce(t, target)
@@ -145,6 +150,7 @@ MUTANTS = [
     (suites, "append", subtree_dropping_append),
     (suites, "append", stale_size_append),
     (suites, "reduce", off_by_one_reduce),
+    (suites, "reduce", argument_swapping_reduce),
     (suites, "mapreduce", overcharging_mapreduce),
     (suites, "append", operand_swapping_append),
     (suites, "isort", misordering_isort),

@@ -52,15 +52,15 @@ PINNED = {
         "concrete": "a77b5071a378291f111e7444bfc47cde03ce5902",
     },
     "rbtree/reduce": {
-        "full": "c747de94a68e6b645b7f50d7cf2d3f90c3a2d7cb",
-        "abstract": "7de0c9f7b2730c58bdbedc6fe5c2db7dddca361d",
-        "behavioral": "03de09c1e38ae2ec21447efd3b8785d609419373",
-        "concrete": "c7f62a30e09f731ee083e9de03bb62e2a400a681",
+        "full": "4e417c2093c4324a96ca6f00cce3015dbbe1dde7",
+        "abstract": "c532a025c6367537ec0cbb32e629cc14b8e35ba9",
+        "behavioral": "bc10c8819bd9b036c8903e195fd9f0b80a60d404",
+        "concrete": "bac1874d7923050d83af87638882c3789a22f55d",
     },
     "rbtree/universal": {
-        "full": "a97d7ae78c6a4c93d4bd7dce2bbd024b852e3752",
-        "abstract": "ecfc75505dbcb4c37a47c8262df27e2f0db12fef",
-        "behavioral": "125dada2f661797f9ed93405fefbc6e90bf17e99",
+        "full": "eb565bb1e55b7cf24925177466a0b6513d950147",
+        "abstract": "bb36705c42357055c8e3c764d06b4954c157072c",
+        "behavioral": "b8cb2574311fc3b2f9dcb0eb6c2eebbe3a43b424",
         "concrete": "64bdc163f1a6f3b83195db5cc60a021b161d0ed3",
     },
     "sealing/laws": {

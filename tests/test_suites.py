@@ -38,7 +38,7 @@ def test_registry_contents() -> None:
 
 
 # The law names each suite judges at seed 0, 20 iterations, FULL mode:
-# 69 in all.  A law added or deleted shows here by name.
+# 70 in all.  A law added or deleted shows here by name.
 LAWS = {
     "cost/laws": [
         "cost/bind-assoc", "cost/bind-left-unit", "cost/bind-right-unit", "cost/charge-plus",
@@ -63,7 +63,7 @@ LAWS = {
         "rbtree/abstract-client/reduce-max", "rbtree/append-cost-bound", "rbtree/append-elements",
         "rbtree/invariant-audit", "rbtree/size-cache",
     ],
-    "rbtree/reduce": ["rbtree/reduce-cost-exact", "rbtree/reduce-empty", "rbtree/reduce-value"],
+    "rbtree/reduce": ["rbtree/reduce-cost-exact", "rbtree/reduce-empty", "rbtree/reduce-order", "rbtree/reduce-value"],
     "rbtree/universal": [
         "hom/append", "hom/empty", "hom/singleton", "universal/list/agrees-with-fold",
         "universal/list/cost-metered", "universal/list/unique/elements", "universal/nat-max/agrees-with-fold",
@@ -96,7 +96,7 @@ def test_each_suite_judges_its_pinned_laws(monkeypatch) -> None:
     for name in ALL_SUITES:
         assert REGISTRY[name](seed=0, iterations=20, mode=EvaluationMode.FULL).passed
     assert {suite: sorted(laws) for suite, laws in judged.items()} == LAWS
-    assert sum(map(len, LAWS.values())) == 69
+    assert sum(map(len, LAWS.values())) == 70
 
 
 @pytest.mark.parametrize("name", ALL_SUITES)
@@ -152,7 +152,8 @@ def test_cost_rows_respect_bounds(name: str) -> None:
 
 
 def test_zero_iterations_is_lawful() -> None:
-    # Fixed probes still run; sampling loops simply contribute nothing.
+    # Fixed probes still run, and the fold suites judge the seven trees
+    # their pool starts with; sampling loops simply contribute nothing.
     for name in ALL_SUITES:
         rep = REGISTRY[name](seed=0, iterations=0, mode=EvaluationMode.FULL)
         assert rep.passed
@@ -359,12 +360,74 @@ def test_phase_roundtrip_walks_a_pool_tree_about_once(monkeypatch: pytest.Monkey
     assert len({id(t) for t in walked}) == len(walked)
 
 
+def _kept_pools(monkeypatch: pytest.MonkeyPatch) -> list:
+    """Make ``suites._TreePool`` keep every pool a suite builds in the list returned."""
+    pools = []
+
+    class KeptPool(suites._TreePool):
+        def __init__(self, *args, **kwargs) -> None:
+            super().__init__(*args, **kwargs)
+            pools.append(self)
+
+    monkeypatch.setattr(suites, "_TreePool", KeptPool)
+    return pools
+
+
+# The appends a pool suite makes at ``n`` iterations before its first case,
+# and after it: only ``rbtree/universal``'s homomorphism pairs append later.
+POOL_APPENDS = {
+    "phase/roundtrip": lambda n: (min(n, suites._POOL_TREES), 0),
+    "rbtree/reduce": lambda n: (n, 0),
+    "rbtree/universal": lambda n: (min(n, 200), n),
+}
+
+
 @pytest.mark.parametrize("iterations", [0, 1, 300])
-def test_phase_roundtrip_grows_its_pool_before_its_loop(monkeypatch: pytest.MonkeyPatch, iterations: int) -> None:
-    appends = []
-    monkeypatch.setattr(suites, "append", lambda a, b: appends.append(None) or rbtree.append(a, b))
-    assert REGISTRY["phase/roundtrip"](seed=0, iterations=iterations, mode=EvaluationMode.FULL).passed
-    assert len(appends) == min(iterations, suites._POOL_TREES)
+@pytest.mark.parametrize("name", sorted(POOL_APPENDS))
+def test_pool_suites_grow_their_pool_before_their_first_case(
+        monkeypatch: pytest.MonkeyPatch, name: str, iterations: int) -> None:
+    events = []
+    monkeypatch.setattr(suites, "append", lambda a, b: events.append("append") or rbtree.append(a, b))
+    for method in ("case", "equal", "fail"):
+        judge = getattr(ReportBuilder, method)
+        monkeypatch.setattr(ReportBuilder, method,
+                            lambda self, *args, judge=judge, **kw: events.append("case") or judge(self, *args, **kw))
+    assert REGISTRY[name](seed=0, iterations=iterations, mode=EvaluationMode.FULL).passed
+    first_case = events.index("case") if "case" in events else len(events)
+    assert (first_case, events.count("append") - first_case) == POOL_APPENDS[name](iterations)
+
+
+def test_universal_folds_each_pool_slot_once_per_target(monkeypatch: pytest.MonkeyPatch) -> None:
+    """Slots, not distinct trees: a tree held in two slots is folded twice."""
+    pools = _kept_pools(monkeypatch)
+    folded: dict = {}  # a target's singleton -> the trees folded into it
+
+    def recording(t, target):
+        if target is not suites.SUM_OPS:  # the length homomorphism's own folds
+            folded.setdefault(target.singleton, []).append(id(t))
+        return rbtree.mapreduce(t, target)
+
+    monkeypatch.setattr(suites, "mapreduce", recording)
+    assert REGISTRY["rbtree/universal"](seed=0, iterations=300, mode=EvaluationMode.FULL).passed
+    [pool] = pools
+    slots = [id(t) for t in pool.pool]
+    assert len(set(slots)) < len(slots)  # the pool holds some tree twice
+    assert list(folded.values()) == [slots] * 3
+
+
+@pytest.mark.parametrize("mode", [EvaluationMode.FULL, EvaluationMode.CONCRETE])
+def test_reduce_runs_once_per_nonempty_pool_slot(monkeypatch: pytest.MonkeyPatch, mode: EvaluationMode) -> None:
+    pools = _kept_pools(monkeypatch)
+    reduced: dict = {}  # a combiner -> the trees reduced with it
+    monkeypatch.setattr(
+        suites, "reduce", lambda f, unit, t: reduced.setdefault(f, []).append(id(t)) or rbtree.reduce(f, unit, t))
+    assert REGISTRY["rbtree/reduce"](seed=0, iterations=300, mode=mode).passed
+    [pool] = pools
+    nonempty = [id(t) for t in pool.pool if t.size]
+    assert len(set(nonempty)) < len(nonempty)
+    # FULL reduces each slot with ``+`` and ``first``, then the empty tree with ``+``.
+    expected = [nonempty + [id(rbtree.EMPTY)], nonempty] if mode is EvaluationMode.FULL else [nonempty]
+    assert list(reduced.values()) == expected
 
 
 @pytest.mark.parametrize(
