@@ -191,11 +191,11 @@ class ReportBuilder:
 
     def equal(self, law: str, input_: Any, expected: Any, actual: Any,
               eq: Callable[[Any, Any], bool] = operator.eq) -> bool:
-        """Count one case when ``eq(actual, expected)``; else record both rendered."""
+        """Count one case when ``eq(actual, expected)``; else record the failure."""
         if eq(actual, expected):
             self.cases += 1
             return True
-        self.fail(law, input_, render(expected), render(actual))
+        self.fail(law, input_, expected, actual)
         return False
 
     def fail(self, law: str, input_: Any, expected: Any, actual: Any) -> None:

@@ -1,7 +1,8 @@
 """FIFO queues, twice: a plain list model and a batched two-list structure.
 
-The list queue is the specification: its state is literally the queue
-contents, enqueue appends at cost 1, dequeue charges the full length of
+The list queue is the specification: its state is the tuple of the
+queue's contents, oldest first, so its abstraction function is the
+identity.  Enqueue appends at cost 1; dequeue charges the full length of
 the list as a deliberately generous bound.  The batched queue keeps an
 inbox (newest first) and an outbox (oldest first); enqueue conses onto
 the inbox at cost 1 and dequeue pops the outbox for free, paying to
@@ -30,16 +31,6 @@ DEFAULT_ELEMENT = 0
 
 
 @dataclass(frozen=True, slots=True, init=False)
-class ListQueueState:
-    """Specification queue: the abstract list itself, oldest element first."""
-
-    items: Tuple[Any, ...]
-
-    def __init__(self, items: Tuple[Any, ...] = ()) -> None:
-        _set_items(self, items)
-
-
-@dataclass(frozen=True, slots=True, init=False)
 class BatchedQueueState:
     """Two-list queue: inbox newest-first, outbox oldest-first."""
 
@@ -51,7 +42,6 @@ class BatchedQueueState:
         _set_outbox(self, outbox)
 
 
-_set_items = ListQueueState.items.__set__
 _set_inbox = BatchedQueueState.inbox.__set__
 _set_outbox = BatchedQueueState.outbox.__set__
 
@@ -61,31 +51,31 @@ def rev_append(state: BatchedQueueState) -> Tuple[Any, ...]:
     return state.outbox + state.inbox[::-1]
 
 
-LIST_ALPHA: AbstractionFn = AbstractionFn(apply=lambda s: s.items)
+LIST_ALPHA: AbstractionFn = AbstractionFn(apply=lambda s: s)
 BATCHED_ALPHA: AbstractionFn = AbstractionFn(apply=rev_append)
 
 
 # -- list queue operations ----------------------------------------------
 
-def list_empty() -> ListQueueState:
-    return ListQueueState()
+def list_empty() -> Tuple[Any, ...]:
+    return ()
 
 
-def list_enqueue(e: Any, s: ListQueueState) -> Charged[ListQueueState]:
+def list_enqueue(e: Any, s: Tuple[Any, ...]) -> Charged[Tuple[Any, ...]]:
     """Append at the back; one unit, same as the batched enqueue."""
-    return Charged(ONE, ListQueueState(s.items + (e,)))
+    return Charged(ONE, s + (e,))
 
 
-def list_dequeue(s: ListQueueState) -> Charged[Tuple[Any, ListQueueState]]:
+def list_dequeue(s: Tuple[Any, ...]) -> Charged[Tuple[Any, Tuple[Any, ...]]]:
     """Pop the front, charging the full current length.
 
     The length charge is an upper bound chosen to dominate the batched
     queue's occasional reversal; an empty queue yields
     ``DEFAULT_ELEMENT`` at no cost.
     """
-    if not s.items:
+    if not s:
         return Charged(ZERO, (DEFAULT_ELEMENT, s))
-    return Charged(Cost(len(s.items)), (s.items[0], ListQueueState(s.items[1:])))
+    return Charged(Cost(len(s)), (s[0], s[1:]))
 
 
 # -- batched queue operations -------------------------------------------

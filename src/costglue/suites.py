@@ -45,7 +45,6 @@ from .queues import (
     LIST_ALPHA,
     LIST_QUEUE,
     BatchedQueueState,
-    ListQueueState,
     QueueImpl,
     batched_dequeue,
     batched_empty,
@@ -167,6 +166,17 @@ def _random_batched_state(rng: random.Random) -> BatchedQueueState:
 _POOL_TREES = 256  # a full _TreePool replaces a random tree with each new one
 
 
+def _once_per_tree(fn: Callable[[rbtree.RBTree], Any],
+                   trees: Sequence[rbtree.RBTree]) -> Callable[[rbtree.RBTree], Any]:
+    """``fn``, applied once to each distinct tree of ``trees`` (a pool may hold a
+    tree in two slots) and then looked up by ``id``; any other tree goes to ``fn``.
+
+    Only trees held for the whole run may be keys, so no key's id is reused.
+    """
+    memo = {key: fn(t) for key, t in {id(t): t for t in trees}.items()}
+    return lambda t: memo[id(t)] if id(t) in memo else fn(t)
+
+
 class _TreePool:
     """A deterministic, evolving population of valid trees, held in slots.
 
@@ -206,16 +216,9 @@ def phase_roundtrip(rb: ReportBuilder) -> None:
     trees = _TreePool(rng, cap=256)
     for _ in range(min(rb.iterations, _POOL_TREES)):
         trees.grow()
-    # Each distinct pool tree is imaged once.  The pool holds its trees for
-    # the run, so no key's id is reused, and it may hold one tree twice
-    # (``append(EMPTY, b)`` is ``b``).  A tree outside the pool, such as a
-    # rebuilt one from a broken ``fracture``, is walked.
-    images: Dict[int, Tuple[Any, ...]] = {}
-    for t in trees.pool:
-        if id(t) not in images:
-            images[id(t)] = elements(t)
-    tree_alpha = dataclasses.replace(
-        ELEMENTS_ALPHA, apply=lambda t: images[id(t)] if id(t) in images else elements(t))
+    # The pool holds its trees for the run, so each is imaged once; a tree
+    # outside it, such as a rebuilt one from a broken ``fracture``, is walked.
+    tree_alpha = dataclasses.replace(ELEMENTS_ALPHA, apply=_once_per_tree(elements, trees.pool))
     for i in range(rb.iterations):
         s = _random_batched_state(rng)
         image = rev_append(s)
@@ -353,14 +356,10 @@ def _enqueue_square(image: Callable[[BatchedQueueState], Tuple[Any, ...]]) -> Sq
 
 
 def _dequeue_square(image: Callable[[BatchedQueueState], Tuple[Any, ...]]) -> SquareSpec:
-    def f_abs(items: Tuple[Any, ...]) -> Charged[Tuple[Any, Tuple[Any, ...]]]:
-        out = list_dequeue(ListQueueState(items))
-        return Charged(out.cost, (out.value[0], out.value[1].items))
-
     return SquareSpec(
         name="dequeue",
         f_top=batched_dequeue,
-        f_abs=f_abs,
+        f_abs=list_dequeue,
         alpha_in=AbstractionFn(apply=image),
         alpha_out=AbstractionFn(apply=lambda out: (out[0], image(out[1]))),
         lax=True,
@@ -466,7 +465,7 @@ def queues_coherence(rb: ReportBuilder) -> None:
     upper bound a seal of the dequeue would state, so no seal is built.
     """
     if rb.check_beh:
-        rb.equal("queues/empty-square", batched_empty(), list_empty().items, rev_append(batched_empty()))
+        rb.equal("queues/empty-square", batched_empty(), list_empty(), rev_append(batched_empty()))
 
     image = last_image(rev_append)  # a step's output state is the next step's input
     squares = (_enqueue_square(image), _dequeue_square(image))
@@ -499,8 +498,8 @@ def queues_coherence(rb: ReportBuilder) -> None:
 # ---------------------------------------------------------------------------
 # queues/noninterference
 
-def _stack_push(e: Any, s: ListQueueState) -> Charged[ListQueueState]:
-    return Charged(ONE, ListQueueState((e,) + s.items))
+def _stack_push(e: Any, s: Tuple[Any, ...]) -> Charged[Tuple[Any, ...]]:
+    return Charged(ONE, (e,) + s)
 
 
 STACK_IMPL = QueueImpl(
@@ -654,24 +653,28 @@ def rbtree_universal(rb: ReportBuilder) -> None:
     per target, and report as its cost the sum of the target appends it
     made; independent homomorphisms (cached length, direct elements) must
     agree with it.  ``iterations`` sampled pairs drive the homomorphism laws.
+    Each pool tree's image and length are made once, for every law reading them.
     """
+    if not rb.check_beh:  # every law here compares values
+        return
     pool = _TreePool(rb.rng(), cap=512)
     for _ in range(min(rb.iterations, 200)):
         pool.grow()
+    tree_alpha = dataclasses.replace(ELEMENTS_ALPHA, apply=_once_per_tree(elements, pool.pool))
     targets = (
         ("nat-sum", SUM_OPS, (("cached-length", lambda t: Charged(ONE, length_fast(t))),)),
         ("list", LIST_OPS, (("elements", lambda t: ret(elements(t))),)),
         ("nat-max", MAX_OPS, ()),
     )
     for target, ops, extra_homs in targets:
-        check_universal_property(rb, mapreduce, ELEMENTS_ALPHA, target, ops, pool.pool, extra_homs=extra_homs)
+        check_universal_property(rb, mapreduce, tree_alpha, target, ops, pool.pool, extra_homs=extra_homs)
     check_abstract_hom(
         rb,
         "/length-hom",
-        lambda t: mapreduce(t, SUM_OPS),
+        _once_per_tree(lambda t: mapreduce(t, SUM_OPS), pool.pool),
         MonoidOps(EMPTY, append, singleton),
         SUM_OPS,
-        (ELEMENTS_ALPHA, AbstractionFn(apply=lambda n: n)),
+        (tree_alpha, AbstractionFn(apply=lambda n: n)),
         lambda r: (pool.sample(r), pool.sample(r), randbelow(r, 100)),
         rb.iterations,
     )

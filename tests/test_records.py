@@ -11,7 +11,7 @@ import pytest
 from costglue import cost, rbtree, sealing
 from costglue.cost import MAX_COST, ONE, ZERO, Charged, Cost, bind, charge, ret
 from costglue.phase import glue
-from costglue.queues import BATCHED_ALPHA, BatchedQueueState, ListQueueState, batched_enqueue, list_enqueue
+from costglue.queues import BATCHED_ALPHA, BatchedQueueState, batched_enqueue, list_enqueue
 from costglue.rbtree import EMPTY, Color, Empty, Leaf, Node
 from costglue.sealing import BoundViolation, Sealed, seal
 
@@ -21,7 +21,6 @@ def records() -> list:
         Cost(3),
         Charged(Cost(3), 4),
         seal(Charged(Cost(1), 2), Charged(Cost(3), 2)),
-        ListQueueState((1, 2)),
         BatchedQueueState((3,), (1, 2)),
         EMPTY,
         Leaf(1),
@@ -47,7 +46,6 @@ def test_repr() -> None:
         "Sealed(impl=Charged(cost=Cost(1), value=2), spec=Charged(cost=Cost(3), value=2), "
         "beh_eq=<built-in function eq>)"
     )
-    assert repr(ListQueueState()) == "ListQueueState(items=())"
     assert repr(BatchedQueueState((3,), (1, 2))) == "BatchedQueueState(inbox=(3,), outbox=(1, 2))"
 
 
@@ -59,7 +57,6 @@ def test_equality_and_hash() -> None:
     assert seal(Charged(1, 2), Charged(3, 2)) == seal(Charged(1, 2), Charged(3, 2), lambda a, b: True)
     assert hash(BatchedQueueState((3,), (1,))) == hash(((3,), (1,)))
     assert BatchedQueueState() == BatchedQueueState((), ()) != BatchedQueueState((1,), ())
-    assert ListQueueState((1,)) == ListQueueState((1,)) != ListQueueState()
     assert (Cost(1) == 1) is False and (1 == Cost(1)) is False and Cost(1) != 1
     total = Cost(2) + Cost(3)
     assert total == Cost(5) and Cost(5) == total and hash(total) == hash(Cost(5)) == hash((5,))
@@ -98,7 +95,7 @@ def test_sums_are_ordinary_costs() -> None:
 
 def test_shared_constants() -> None:
     assert ZERO == Cost(0) and ONE == Cost(1)
-    assert list_enqueue(7, ListQueueState()).cost is ONE
+    assert list_enqueue(7, ()).cost is ONE
     assert batched_enqueue(7, BatchedQueueState()).cost is ONE
 
 
@@ -125,7 +122,6 @@ def test_sealed_still_rejects_every_invalid_seal() -> None:
 
 
 def test_queue_states_default_to_empty() -> None:
-    assert ListQueueState().items == ()
     assert BatchedQueueState().inbox == BatchedQueueState().outbox == ()
     assert BatchedQueueState(outbox=(1,)) == BatchedQueueState((), (1,))
 

@@ -415,6 +415,35 @@ def test_universal_folds_each_pool_slot_once_per_target(monkeypatch: pytest.Monk
     assert list(folded.values()) == [slots] * 3
 
 
+def test_universal_walks_and_sums_each_pool_tree_once(monkeypatch: pytest.MonkeyPatch) -> None:
+    """At most two ``elements`` walks per slot, and one ``SUM_OPS`` fold per pool tree.
+
+    A pool tree is walked once for the laws that read its image, and once
+    per slot by the ``elements`` homomorphism.  Besides the pool trees,
+    the length homomorphism folds only each pair's append result (a pool
+    tree itself when one side is empty) and its fresh singleton.
+    """
+    pools = _kept_pools(monkeypatch)
+    summed = []  # keeps every summed tree alive, so their ids are distinct
+
+    def recording(t, target):
+        if target is suites.SUM_OPS:
+            summed.append(t)
+        return rbtree.mapreduce(t, target)
+
+    monkeypatch.setattr(suites, "mapreduce", recording)
+    pairs, reps = 300, []
+    [walks] = _calls(lambda: reps.append(REGISTRY["rbtree/universal"](0, pairs, EvaluationMode.FULL)), rbtree.elements)
+    assert reps[0].passed
+    [pool] = pools
+    assert walks <= 2 * len(pool.pool)
+    trees = {id(t) for t in pool.pool}
+    assert sorted(id(t) for t in summed if id(t) in trees) == sorted(trees)
+    others = [type(t) for t in summed if id(t) not in trees]
+    assert others.count(rbtree.Leaf) == pairs
+    assert others.count(rbtree.Node) <= pairs == len(others) - others.count(rbtree.Node)
+
+
 @pytest.mark.parametrize("mode", [EvaluationMode.FULL, EvaluationMode.CONCRETE])
 def test_reduce_runs_once_per_nonempty_pool_slot(monkeypatch: pytest.MonkeyPatch, mode: EvaluationMode) -> None:
     pools = _kept_pools(monkeypatch)
