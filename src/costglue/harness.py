@@ -19,10 +19,13 @@ case, so ``Report.cases`` counts judged cases only.
 
 Every case is recorded through ``ReportBuilder.case(ok, law, detail)``.
 ``detail`` is a zero-argument callable returning the ``(input, expected,
-actual)`` triple of a failure record; it is called, and its values
-rendered, only when ``ok`` is false, so a passing case costs no
-rendering at all.  ``ReportBuilder.equal`` is the same for a law that
-compares two values already computed.
+actual)`` triple of a failure record as raw values; it is called only
+when ``ok`` is false, so a passing case costs no rendering at all.
+``ReportBuilder.equal`` is the same for a law that compares two values
+already computed.  ``ReportBuilder.fail`` is the one renderer: it
+renders each field once, so no record is quoted twice.  A square's
+record shows ``Charged`` results when the mode judges cost and the two
+images alone when it does not.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from __future__ import annotations
 import math
 import operator
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Callable, Dict, List, Sequence, Tuple
 
 from .cost import Charged, MonoidOps
@@ -99,14 +102,6 @@ class Failure:
     actual: str
     law: str
 
-    def to_dict(self) -> Dict[str, str]:
-        return {
-            "input": self.input,
-            "expected": self.expected,
-            "actual": self.actual,
-            "law": self.law,
-        }
-
 
 @dataclass(frozen=True)
 class Report:
@@ -131,7 +126,7 @@ class Report:
             "iterations": self.iterations,
             "mode": self.mode,
             "cases": self.cases,
-            "failures": [f.to_dict() for f in self.failures],
+            "failures": [asdict(f) for f in self.failures],
             "cost_table": [
                 {"size": size, "impl_cost": impl, "spec_cost": spec}
                 for size, impl, spec in self.cost_table
@@ -199,6 +194,7 @@ class ReportBuilder:
         return False
 
     def fail(self, law: str, input_: Any, expected: Any, actual: Any) -> None:
+        """Count one case and record it failed: the one place a record's values are rendered."""
         self.cases += 1
         self.failures.append(Failure(render(input_), render(expected), render(actual), law))
 
@@ -258,8 +254,11 @@ def commute(rb: ReportBuilder, square: SquareSpec, x: Any) -> Tuple[Charged[Any]
 
     Behavior must agree under ``alpha_out`` when ``rb.check_beh``; costs
     must be equal (strict) or bounded (lax) when ``rb.check_cost``; with
-    neither gate on no case is recorded.  Returns the concrete and the
-    abstract result, so a caller can step a trace or record a cost row.
+    neither gate on no case is recorded.  A failure records the abstract
+    result and the concrete one mapped by ``alpha_out``, as ``Charged``
+    values when ``rb.check_cost`` and as bare images otherwise.  Returns
+    the concrete and the abstract result, so a caller can step a trace or
+    record a cost row.
     """
     top = square.f_top(x)
     bottom = square.f_abs(square.alpha_in.apply(x))
@@ -272,11 +271,7 @@ def commute(rb: ReportBuilder, square: SquareSpec, x: Any) -> Tuple[Charged[Any]
     rb.case(
         bool(ok),
         square.law,
-        lambda: (
-            x,
-            f"image {render(bottom.value)} at cost {'<=' if square.lax else '=='} {bottom.cost.value}",
-            f"image {render(mapped)} at cost {top.cost.value}",
-        ),
+        lambda: (x, bottom, Charged(top.cost, mapped)) if rb.check_cost else (x, bottom.value, mapped),
     )
     return top, bottom
 
@@ -329,7 +324,7 @@ def check_noninterference(
         outs = [(name, program(x)) for name, program in programs]
         for i, (ni, oi) in enumerate(outs):
             for nj, oj in outs[i + 1:]:
-                rb.case(oi == oj, f"noninterference/{ni}~{nj}", lambda: (x, render(oi), render(oj)))
+                rb.equal(f"noninterference/{ni}~{nj}", x, oi, oj)
 
 
 # -- abstract algebraic laws ----------------------------------------------
@@ -355,7 +350,7 @@ def check_abstract_monoid(
     Associativity and the unit laws are stated up to ``alpha``
     (``abstract_equal``), never on representations, so balancing choices
     and cached fields cannot fail the laws.  With ``alpha.kernel`` no
-    image is built unless a law fails, when both are rendered.
+    image is built unless a law fails, when the detail carries both.
     """
     if not rb.check_beh:
         return
@@ -368,14 +363,14 @@ def check_abstract_monoid(
         rb.case(
             abstract_equal(left, right, alpha),
             "monoid/assoc",
-            lambda: ((a, b, c), render(image(right)), render(image(left))),
+            lambda: ((a, b, c), image(right), image(left)),
         )
         for law, unit in (("monoid/left-unit", append(empty, a).value),
                           ("monoid/right-unit", append(a, empty).value)):
             rb.case(
                 abstract_equal(unit, a, alpha),
                 law,
-                lambda: (a, render(image(a)), render(image(unit))),
+                lambda: (a, image(a), image(unit)),
             )
 
 
@@ -402,16 +397,7 @@ def check_abstract_hom(
     image = alpha_dst.apply
     eq = alpha_dst.abs_eq
 
-    f_empty = f(src_ops.empty).value
-    rb.case(
-        eq(image(f_empty), image(dst_ops.empty)),
-        "hom/empty",
-        lambda: (
-            render(alpha_src.apply(src_ops.empty)),
-            render(image(dst_ops.empty)),
-            render(image(f_empty)),
-        ),
-    )
+    rb.equal("hom/empty", alpha_src.apply(src_ops.empty), image(dst_ops.empty), image(f(src_ops.empty).value), eq)
     for _ in range(n):
         x1, x2, e = inputs(rng)
         via_src = f(src_ops.append(x1, x2).value).value
@@ -419,11 +405,7 @@ def check_abstract_hom(
         rb.case(
             eq(image(via_src), image(via_dst)),
             "hom/append",
-            lambda: (
-                (alpha_src.apply(x1), alpha_src.apply(x2)),
-                render(image(via_dst)),
-                render(image(via_src)),
-            ),
+            lambda: ((alpha_src.apply(x1), alpha_src.apply(x2)), image(via_dst), image(via_src)),
         )
         rb.equal("hom/singleton", e, image(dst_ops.singleton(e)), image(f(src_ops.singleton(e)).value), eq)
 
@@ -460,25 +442,12 @@ def check_universal_property(
 
     metered_ops = MonoidOps(ops.empty, metered_append, ops.singleton)
     for x in values:
-        folded = fold_elements(ops, alpha.apply(x))
+        image = alpha.apply(x)
         metered = 0
         out = fold(x, metered_ops)
         reduced = out.value
-        rb.case(
-            reduced == folded,
-            f"universal/{target}/agrees-with-fold",
-            lambda: (render(alpha.apply(x)), render(folded), render(reduced)),
-        )
+        rb.equal(f"universal/{target}/agrees-with-fold", image, fold_elements(ops, image), reduced)
         if rb.check_cost:
-            rb.case(
-                out.cost.value == metered,
-                f"universal/{target}/cost-metered",
-                lambda: (render(alpha.apply(x)), metered, out.cost.value),
-            )
+            rb.equal(f"universal/{target}/cost-metered", image, metered, out.cost.value)
         for hom_name, hom in extra_homs:
-            other = hom(x).value
-            rb.case(
-                other == reduced,
-                f"universal/{target}/unique/{hom_name}",
-                lambda: (render(alpha.apply(x)), render(reduced), render(other)),
-            )
+            rb.equal(f"universal/{target}/unique/{hom_name}", image, reduced, hom(x).value)

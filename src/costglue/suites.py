@@ -36,7 +36,6 @@ from .harness import (
     geometric_size,
     randbelow,
     random_items,
-    render,
 )
 from .phase import AbstractionFn, CoherenceError, EvaluationMode, abstract_equal, fracture, glue, last_image
 from .queues import (
@@ -140,19 +139,14 @@ def cost_laws(rb: ReportBuilder) -> None:
         rb.equal("cost/bind-right-unit", m, m, bind(m, ret))
         rb.equal("cost/bind-assoc", m, bind(m, lambda v: bind(k(v), h)), bind(bind(m, k), h))
         rb.equal("cost/erase-charge", (c1, m), erase(m), erase(charge(c1, m)))
-        rb.case(leq(m, m), "cost/leq-refl", lambda: (m, True, leq(m, m)))
+        rb.equal("cost/leq-refl", m, True, leq(m, m))
         a, b, c = m, charge(c1, m), charge(c1 + c2, m)
         rb.case(
             (not (leq(a, b) and leq(b, c))) or leq(a, c),
             "cost/leq-trans",
             lambda: ((a, b, c), True, leq(a, c)),
         )
-        erased_equal = erase(a) == erase(b)
-        rb.case(
-            leq(ret(erase(b)), ret(erase(a))) == erased_equal,
-            "cost/leq-erase-collapse",
-            lambda: ((a, b), erased_equal, leq(ret(erase(b)), ret(erase(a)))),
-        )
+        rb.equal("cost/leq-erase-collapse", (a, b), erase(a) == erase(b), leq(ret(erase(b)), ret(erase(a))))
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +222,7 @@ def phase_roundtrip(rb: ReportBuilder) -> None:
         rb.case(
             parts == (s, image, BATCHED_ALPHA),
             "phase/fracture-components-queue",
-            lambda: (s, render((s, image)), render(parts[:2])),
+            lambda: (s, (s, image), parts[:2]),
         )
 
         t = trees.sample(rng)
@@ -237,7 +231,7 @@ def phase_roundtrip(rb: ReportBuilder) -> None:
         rb.case(
             back_t == gt,
             "phase/glue-fracture-tree",
-            lambda: (render(elements(t)), render(gt.abstract), render(back_t.abstract)),
+            lambda: (elements(t), gt.abstract, back_t.abstract),
         )
 
         if i % 64 == 0:
@@ -274,7 +268,7 @@ def sealing_laws(rb: ReportBuilder) -> None:
         rb.equal("seal/unseal-abstract", s, spec, unseal_abstract(s))
         rb.equal("seal/unseal-concrete", s, impl, unseal_concrete(s))
         refl = seal(impl, impl)
-        rb.case(refl.impl == refl.spec, "seal/reflexive", lambda: (impl, render(impl), render(refl.spec)))
+        rb.equal("seal/reflexive", impl, refl.spec, refl.impl)
 
         wider = charge(extra, spec)
         r = reseal(s, wider)
@@ -320,11 +314,7 @@ def sealing_laws(rb: ReportBuilder) -> None:
             rb.case(
                 err.cost_overrun and not err.behavior_mismatch,
                 "seal/rejects-cost-overrun",
-                lambda: (
-                    (ci + gap + 1, spec),
-                    "cost overrun",
-                    render((err.cost_overrun, err.behavior_mismatch)),
-                ),
+                lambda: ((ci + gap + 1, spec), "cost overrun", (err.cost_overrun, err.behavior_mismatch)),
             )
         try:
             seal(impl, Charged(spec.cost, v + 1))
@@ -333,11 +323,7 @@ def sealing_laws(rb: ReportBuilder) -> None:
             rb.case(
                 err.behavior_mismatch,
                 "seal/rejects-behavior-mismatch",
-                lambda: (
-                    (impl, v + 1),
-                    "behavior mismatch",
-                    render((err.cost_overrun, err.behavior_mismatch)),
-                ),
+                lambda: ((impl, v + 1), "behavior mismatch", (err.cost_overrun, err.behavior_mismatch)),
             )
 
 
@@ -418,18 +404,14 @@ def _run_coherence_trace(
             rb.case(
                 same_enq and same_deq,
                 "queues/quotient-soundness",
-                lambda: (
-                    (bat, alt),
-                    "operations agree on abstractly equal states",
-                    render((same_enq, same_deq)),
-                ),
+                lambda: ((bat, alt), "operations agree on abstractly equal states", (same_enq, same_deq)),
             )
 
     if rb.check_cost:
         rb.case(
             reversal_work <= enqueues,
             "queues/amortized-reversal",
-            lambda: (render(tuple(ops)), f"<= {enqueues}", reversal_work),
+            lambda: (tuple(ops), f"<= {enqueues}", reversal_work),
         )
 
 
@@ -592,22 +574,14 @@ def rbtree_invariants(rb: ReportBuilder) -> None:
                 try:
                     validate(t)
                 except ValueError as err:
-                    rb.fail("rbtree/invariant-audit", (render(elements(a)), render(elements(b))), "valid tree", str(err))
+                    rb.fail("rbtree/invariant-audit", (elements(a), elements(b)), "valid tree", str(err))
                 else:
                     rb.case(True, "rbtree/invariant-audit", tuple)
             if rb.check_beh:
-                expected = elements(a) + elements(b)
-                got = elements(t)
-                rb.case(
-                    got == expected,
-                    "rbtree/append-elements",
-                    lambda: ((render(elements(a)), render(elements(b))), render(expected), render(got)),
-                )
-                rb.case(
-                    length_fast(t) == len(expected),
-                    "rbtree/size-cache",
-                    lambda: (render(expected), len(expected), length_fast(t)),
-                )
+                left, right = elements(a), elements(b)
+                expected = left + right
+                rb.equal("rbtree/append-elements", (left, right), expected, elements(t))
+                rb.equal("rbtree/size-cache", expected, len(expected), length_fast(t))
         bound = append_bound(a, b)
         if rb.check_cost:
             rb.case(
@@ -703,7 +677,7 @@ def rbtree_reduce(rb: ReportBuilder) -> None:
         out = reduce(plus, 0, t)
         if rb.check_beh:
             items = elements(t)
-            rb.case(out.value == sum(items), "rbtree/reduce-value", lambda: (render(items), sum(items), out.value))
+            rb.equal("rbtree/reduce-value", items, sum(items), out.value)
             rb.equal("rbtree/reduce-order", items, items[0], reduce(first, None, t).value)
         if rb.check_cost:
             rb.case(
@@ -718,7 +692,7 @@ def rbtree_reduce(rb: ReportBuilder) -> None:
         rb.case(
             unit_case.value == 0 and (unit_case.cost.value <= 1 if rb.check_cost else True),
             "rbtree/reduce-empty",
-            lambda: ("empty tree", "unit at small constant cost", render(unit_case)),
+            lambda: ("empty tree", "unit at small constant cost", unit_case if rb.check_cost else unit_case.value),
         )
 
 
@@ -775,26 +749,12 @@ def sorting_bounds(rb: ReportBuilder) -> None:
 
     if not rb.check_cost:  # the laws below read cost
         return
-    frozen = msort((2, 1))
-    rb.case(
-        frozen == Charged(Cost(1), (1, 2)),
-        "sorting/msort-two-elements",
-        lambda: ((2, 1), render(Charged(Cost(1), (1, 2))), render(frozen)),
-    )
+    rb.equal("sorting/msort-two-elements", (2, 1), Charged(Cost(1), (1, 2)), msort((2, 1)))
     ascending = tuple(range(16))
-    run = isort(ascending)
-    rb.case(
-        run.cost.value == len(ascending) - 1,
-        "sorting/isort-sorted-input",
-        lambda: (ascending, len(ascending) - 1, run.cost.value),
-    )
+    rb.equal("sorting/isort-sorted-input", ascending, len(ascending) - 1, isort(ascending).cost.value)
     try:
         sealed_tree = sealed_sort_tree(msort, msort_bound, from_iterable((3, 1, 2)))
     except BoundViolation as err:
-        rb.fail("sorting/sealed-tree", (3, 1, 2), "valid seal", render(err))
+        rb.fail("sorting/sealed-tree", (3, 1, 2), "valid seal", err)
     else:
-        rb.case(
-            elements(sealed_tree.impl.value) == (1, 2, 3),
-            "sorting/sealed-tree",
-            lambda: ((3, 1, 2), (1, 2, 3), render(elements(sealed_tree.impl.value))),
-        )
+        rb.equal("sorting/sealed-tree", (3, 1, 2), (1, 2, 3), elements(sealed_tree.impl.value))

@@ -88,16 +88,16 @@ def bound_skipping_seal_charge(c, s):
 # 60 iterations with a broken append, per mode.
 TREE_RECORDS = {
     subtree_dropping_append: {
-        "full": (282, "50bbc131930df87b0ecc88afbea735a66ecc533b"),
-        "abstract": (222, "a420af56c8826f2dd2f47c764710d3efda377943"),
+        "full": (282, "e6f95a86c07e349c89c755906be16d2aff1ff694"),
+        "abstract": (222, "765d57bd0f10e0f1f65d1bd500904cdc080ec4c9"),
         "concrete": (60, "44620b33a9f721888a139282432e03628404ad4a"),
-        "behavioral": (162, "11ad0554a237140d0a3fbd17ceef13767a0a75a6"),
+        "behavioral": (162, "debdbb3d330369a197a48afb91e450c864e2bede"),
     },
     stale_size_append: {
-        "full": (282, "d64c877da407e495e5387be3726ef2c75f8051bf"),
-        "abstract": (222, "9da8231592f428d7833331d036b51354096398a9"),
-        "concrete": (60, "496a414ec843b45552ae563d2156c78c6d0f7db7"),
-        "behavioral": (162, "712e90ef61fb106c6fd65ca222de2eb0c3c9e0ec"),
+        "full": (282, "9506027752fb917186c30fe242f4d3893974d1ce"),
+        "abstract": (222, "5bec9a379da3db495d90d8f606d2980ecfc1a96d"),
+        "concrete": (60, "dbc5dd9d6132a927bf03f6417ad1bc4e4d374185"),
+        "behavioral": (162, "863b0a1be7aed4faf166329c9abc5c7b199386ff"),
     },
 }
 
@@ -190,9 +190,14 @@ def test_queue_coherence_rejects_a_dropping_enqueue(monkeypatch, mode) -> None:
     rep = suites.REGISTRY["queues/coherence"](0, 20, mode)
     laws = {f.law for f in rep.failures}
     assert "square/enqueue/strict" in laws
-    # Each trace step is checked from the batched state's own image.
-    assert ("(1, BatchedQueueState(inbox=(), outbox=()))", "'image (1,) at cost == 1'",
-            "'image () at cost 1'") in [(f.input, f.expected, f.actual) for f in rep.failures]
+    # Each trace step is checked from the batched state's own image; a
+    # square's record shows cost only in a mode that judges it.
+    images = {
+        FULL: ("Charged(cost=Cost(1), value=(1,))", "Charged(cost=Cost(1), value=())"),
+        BEHAVIORAL: ("(1,)", "()"),
+    }[mode]
+    assert ("(1, BatchedQueueState(inbox=(), outbox=()))", *images) in [
+        (f.input, f.expected, f.actual) for f in rep.failures]
 
 
 def test_queue_coherence_rejects_an_overcharging_dequeue(monkeypatch) -> None:

@@ -281,8 +281,12 @@ class TestCheckSquare:
         )
         rep = sweep(check_square, square, _const_inputs(10), 3, size_of=_zero_size)
         assert not rep.passed
-        assert "image 9" in rep.failures[0].expected
-        assert "image 11" in rep.failures[0].actual
+        assert (rep.failures[0].expected, rep.failures[0].actual) == (
+            "Charged(cost=Cost(0), value=9)", "Charged(cost=Cost(0), value=11)")
+        # Where cost is out of view, the record shows the images alone.
+        behavioral = sweep(check_square, square, _const_inputs(10), 3, size_of=_zero_size,
+                           mode=EvaluationMode.BEHAVIORAL)
+        assert behavioral.failures[0] == Failure("10", "9", "11", "square/broken/strict")
 
     def test_behavioral_mode_ignores_cost(self) -> None:
         rep = sweep(
@@ -314,7 +318,7 @@ class TestCheckSquare:
         rep = rb.build()
         assert rep.cases == 1
         assert rep.failures == (
-            Failure("3", "'image 6 at cost == 1'", "'image 6 at cost 2'", "square/double/strict"),
+            Failure("3", "Charged(cost=Cost(1), value=6)", "Charged(cost=Cost(2), value=6)", "square/double/strict"),
         )
 
     def test_cost_rows_use_size_of(self) -> None:

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from costglue import rbtree, suites
+from costglue import queues, rbtree, suites
 from costglue.cli import emit_json
 from costglue.cost import Charged, Cost
 from costglue.harness import EvaluationMode, ReportBuilder
@@ -292,6 +292,40 @@ def test_behavioral_reports_cannot_see_cost_or_representation(monkeypatch, chang
     assert changed_full != honest_full
 
 
+def _dropping_ones(charged: int):
+    """``batched_enqueue`` that loses every enqueued 1 and charges ``charged`` for it."""
+    return lambda e, s: Charged(Cost(charged), s) if e == 1 else queues.batched_enqueue(e, s)
+
+
+def _unit_losing(charged: int):
+    """``reduce`` that returns 1 for the empty tree and charges ``charged`` for it."""
+    return lambda f, unit, t: Charged(Cost(charged), 1) if t.size == 0 else rbtree.reduce(f, unit, t)
+
+
+BROKEN_COST_VARIANTS = {
+    "batched_enqueue-drops-ones": ("batched_enqueue", _dropping_ones),
+    "reduce-loses-the-unit": ("reduce", _unit_losing),
+}
+
+
+@pytest.mark.parametrize("change", list(BROKEN_COST_VARIANTS))
+def test_behavioral_failure_records_cannot_see_cost(monkeypatch, change: str) -> None:
+    """Noninterference on failure records: two behaviourally broken variants
+    that differ only in cost fail BEHAVIORAL runs with the same report, byte
+    for byte, and FULL runs with different ones."""
+    name, variant = BROKEN_COST_VARIANTS[change]
+
+    def reports(charged: int, mode: EvaluationMode) -> dict:
+        monkeypatch.setattr(suites, name, variant(charged))
+        return {suite: REGISTRY[suite](seed=0, iterations=40, mode=mode) for suite in DIFFERENTIAL_SUITES}
+
+    cheap, dear = reports(1, EvaluationMode.BEHAVIORAL), reports(2, EvaluationMode.BEHAVIORAL)
+    assert not all(rep.passed for rep in cheap.values())
+    assert {k: emit_json(r) for k, r in cheap.items()} == {k: emit_json(r) for k, r in dear.items()}
+    cheap, dear = reports(1, EvaluationMode.FULL), reports(2, EvaluationMode.FULL)
+    assert {k: emit_json(r) for k, r in cheap.items()} != {k: emit_json(r) for k, r in dear.items()}
+
+
 # -- only judged cases are counted ------------------------------------------
 
 def test_only_the_report_builder_counts_cases() -> None:
@@ -307,6 +341,31 @@ def test_only_the_report_builder_counts_cases() -> None:
             if id(node) not in builder and any(isinstance(t, ast.Attribute) and t.attr == "cases" for t in targets):
                 writers.append(f"{path.name}:{node.lineno}")
     assert writers == []
+
+
+def test_only_the_report_builder_renders() -> None:
+    """``src/`` names ``render`` only in ``harness``'s definition and in ``ReportBuilder.fail``.
+
+    A detail carries raw values and ``fail`` renders each field once, so no
+    failure record can be rendered twice (quoted, and cut past its quote).
+    """
+    sites = []
+    for path in sorted(Path(suites.__file__).parent.glob("*.py")):
+        def walk(node: ast.AST, scope: str) -> None:
+            for child in ast.iter_child_nodes(node):
+                inner = scope
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    inner = f"{scope}.{child.name}" if scope else child.name
+                    if child.name == "render":
+                        sites.append(f"{path.name}:def {inner}")
+                if (isinstance(child, ast.Name) and child.id == "render"
+                        or isinstance(child, ast.Attribute) and child.attr == "render"
+                        or isinstance(child, ast.alias) and "render" in (child.name.split(".")[-1], child.asname)):
+                    sites.append(f"{path.name}:{scope}")
+                walk(child, inner)
+
+        walk(ast.parse(path.read_text(encoding="utf-8")), "")
+    assert sorted(set(sites)) == ["harness.py:ReportBuilder.fail", "harness.py:def render"]
 
 
 def test_each_record_is_checked_in_its_one_constructor() -> None:
