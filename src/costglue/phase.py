@@ -13,11 +13,6 @@ either image.  ``abstract_equal`` uses it when present, so a checker can
 compare two large representations in time proportional to where they
 differ rather than to their size.
 
-``last_image`` memoises an abstraction function's last image by the
-identity of the argument, which it holds so that a reused ``id`` never
-matches; key it only on frozen carriers, whose image never changes.
-``glue`` still checks coherence every time, on the true image.
-
 ``EvaluationMode`` names what a suite run may observe; the harness's
 ``ReportBuilder`` turns it into the gates its checkers consult
 (``check_beh``, ``check_cost``, ``check_concrete``).  Behavioral
@@ -73,20 +68,6 @@ class AbstractionFn(Generic[C, A]):
     apply: Callable[[C], A]
     abs_eq: Callable[[A, A], bool] = operator.eq
     kernel: Optional[Callable[[C, C], bool]] = None
-
-
-def last_image(apply: Callable[[C], A]) -> Callable[[C], A]:
-    """``apply`` remembering its last argument and image, for frozen carriers only."""
-    last: Tuple[Any, Any] = (object(), None)
-
-    def image(x: C) -> A:
-        nonlocal last
-        hit = last  # one read, so a key is never paired with another key's image
-        if hit[0] is not x:
-            hit = last = (x, apply(x))
-        return hit[1]
-
-    return image
 
 
 @dataclass(frozen=True, slots=True, init=False)

@@ -37,7 +37,7 @@ from .harness import (
     randbelow,
     random_items,
 )
-from .phase import AbstractionFn, CoherenceError, EvaluationMode, abstract_equal, fracture, glue, last_image
+from .phase import AbstractionFn, CoherenceError, EvaluationMode, abstract_equal, fracture, glue
 from .queues import (
     BATCHED_ALPHA,
     BATCHED_QUEUE,
@@ -330,26 +330,25 @@ def sealing_laws(rb: ReportBuilder) -> None:
 # ---------------------------------------------------------------------------
 # queues/coherence
 
-def _enqueue_square(image: Callable[[BatchedQueueState], Tuple[Any, ...]]) -> SquareSpec:
-    return SquareSpec(
-        name="enqueue",
-        f_top=lambda p: batched_enqueue(p[0], p[1]),
-        f_abs=lambda p: Charged(ONE, p[1] + (p[0],)),
-        alpha_in=AbstractionFn(apply=lambda p: (p[0], image(p[1]))),
-        alpha_out=AbstractionFn(apply=image),
-        lax=False,
-    )
+# Both paths look their operation up when they run, so a patched
+# ``batched_enqueue`` or ``batched_dequeue`` is the one judged.
+ENQUEUE_SQUARE = SquareSpec(
+    name="enqueue",
+    f_top=lambda p: batched_enqueue(p[0], p[1]),
+    f_abs=lambda p: Charged(ONE, p[1] + (p[0],)),
+    alpha_in=AbstractionFn(apply=lambda p: (p[0], rev_append(p[1]))),
+    alpha_out=BATCHED_ALPHA,
+    lax=False,
+)
 
-
-def _dequeue_square(image: Callable[[BatchedQueueState], Tuple[Any, ...]]) -> SquareSpec:
-    return SquareSpec(
-        name="dequeue",
-        f_top=batched_dequeue,
-        f_abs=list_dequeue,
-        alpha_in=AbstractionFn(apply=image),
-        alpha_out=AbstractionFn(apply=lambda out: (out[0], image(out[1]))),
-        lax=True,
-    )
+DEQUEUE_SQUARE = SquareSpec(
+    name="dequeue",
+    f_top=lambda s: batched_dequeue(s),
+    f_abs=lambda s: list_dequeue(s),
+    alpha_in=BATCHED_ALPHA,
+    alpha_out=AbstractionFn(apply=lambda out: (out[0], rev_append(out[1]))),
+    lax=True,
+)
 
 
 def _queue_length(s: BatchedQueueState) -> int:
@@ -359,37 +358,31 @@ def _queue_length(s: BatchedQueueState) -> int:
 def _run_coherence_trace(
     rb: ReportBuilder,
     ops: Sequence[Tuple[str, Tuple[Any, ...]]],
-    squares: Tuple[SquareSpec, SquareSpec],
     quotient_rng: Optional[random.Random] = None,
 ) -> None:
     """Step a trace through the batched queue, commuting each step's square.
 
-    ``squares`` are the enqueue and dequeue squares; each step is checked
-    from the image of the current batched state.  With ``quotient_rng``
-    every step also checks that abstractly equal states are
-    indistinguishable to the operations.  The image is read through the
-    dequeue square's abstraction function, which carries it over from
-    the step that produced the state.
+    Each step is checked from the image of the current batched state.
+    With ``quotient_rng`` every step also checks that abstractly equal
+    states are indistinguishable to the operations.
     """
-    enqueue_square, dequeue_square = squares
-    image_of = dequeue_square.alpha_in.apply
     bat = batched_empty()
     enqueues = 0
     reversal_work = 0
     for op, args in ops:
         if op == "enqueue":
-            top, _ = commute(rb, enqueue_square, (args[0], bat))
+            top, _ = commute(rb, ENQUEUE_SQUARE, (args[0], bat))
             enqueues += 1
             bat = top.value
         else:
             size = _queue_length(bat)
-            top, bottom = commute(rb, dequeue_square, bat)
+            top, bottom = commute(rb, DEQUEUE_SQUARE, bat)
             rb.cost_row(size, top.cost.value, bottom.cost.value)
             reversal_work += top.cost.value
             bat = top.value[1]
 
         if quotient_rng is not None and rb.check_beh:
-            image = image_of(bat)
+            image = rev_append(bat)
             cut = randbelow(quotient_rng, len(image) + 1)
             alt = BatchedQueueState(image[cut:][::-1], image[:cut])
             probe_e = randbelow(quotient_rng, 100)
@@ -449,12 +442,10 @@ def queues_coherence(rb: ReportBuilder) -> None:
     if rb.check_beh:
         rb.equal("queues/empty-square", batched_empty(), list_empty(), rev_append(batched_empty()))
 
-    image = last_image(rev_append)  # a step's output state is the next step's input
-    squares = (_enqueue_square(image), _dequeue_square(image))
     check_square(
         rb,
         "/enqueue",
-        squares[0],
+        ENQUEUE_SQUARE,
         lambda r: (randbelow(r, 100), _random_batched_state(r)),
         rb.iterations,
         size_of=lambda p: _queue_length(p[1]),
@@ -462,19 +453,19 @@ def queues_coherence(rb: ReportBuilder) -> None:
     check_square(
         rb,
         "/dequeue",
-        squares[1],
+        DEQUEUE_SQUARE,
         _random_batched_state,
         rb.iterations,
         size_of=_queue_length,
     )
 
     for trace in exhaustive_traces(6, (0, 1)):
-        _run_coherence_trace(rb, trace, squares)
+        _run_coherence_trace(rb, trace)
 
     trace_rng = rb.rng("/traces")
     for _ in range(rb.iterations):
         trace = random_trace(trace_rng)
-        _run_coherence_trace(rb, trace, squares, quotient_rng=trace_rng)
+        _run_coherence_trace(rb, trace, quotient_rng=trace_rng)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import dataclasses
-import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -16,11 +15,9 @@ from costglue.phase import (
     abstract_equal,
     fracture,
     glue,
-    last_image,
     spec_member,
 )
 from costglue.queues import BATCHED_ALPHA, BatchedQueueState, rev_append
-from costglue.rbtree import elements, from_iterable, same_elements
 
 elems = st.integers(min_value=0, max_value=99)
 batched_states = st.builds(
@@ -180,43 +177,3 @@ class TestAbstractionFn:
     def test_apply(self) -> None:
         assert BATCHED_ALPHA.apply(BatchedQueueState((3,), (1, 2))) == (1, 2, 3)
 
-
-class TestLastImage:
-    """``last_image``, the one-image memo of ``queues/coherence``'s step chain."""
-
-    def test_a_repeat_call_returns_the_same_image(self) -> None:
-        reads = []
-        image = last_image(lambda s: reads.append(s) or rev_append(s))
-        s = BatchedQueueState((3,), (1, 2))
-        first = image(s)
-        assert image(s) is first
-        assert reads == [s]
-
-    def test_a_new_object_is_recomputed(self) -> None:
-        reads = []
-        image = last_image(lambda s: reads.append(s) or rev_append(s))
-        s, twin = BatchedQueueState((3,), (1, 2)), BatchedQueueState((3,), (1, 2))
-        image(s)
-        assert image(twin) == (1, 2, 3)
-        assert len(reads) == 2 and reads[1] is twin
-
-    def test_the_empty_slot_matches_no_argument(self) -> None:
-        assert last_image(lambda x: "computed")(None) == "computed"
-
-    def test_the_memo_holds_its_key(self) -> None:
-        image = last_image(rev_append)
-        s = BatchedQueueState((), (1,))
-        before = sys.getrefcount(s)
-        image(s)
-        assert sys.getrefcount(s) == before + 1
-        assert image(s) == (1,)
-        image(BatchedQueueState((), (0,)))  # the next key releases it
-        assert sys.getrefcount(s) == before
-
-    def test_glue_after_a_memoised_read_still_checks_coherence(self) -> None:
-        alpha = AbstractionFn(apply=last_image(elements), kernel=same_elements)
-        t = from_iterable((1, 2, 3))
-        assert alpha.apply(t) == (1, 2, 3)
-        with pytest.raises(CoherenceError):
-            glue(t, (1, 2), alpha)
-        assert glue(t, (1, 2, 3), alpha).abstract == (1, 2, 3)
