@@ -8,24 +8,27 @@ property of structural folds.  A checker that reads a monoid takes it
 as one ``cost.MonoidOps``.
 
 One ``ReportBuilder`` is the sweep object of a suite run: it holds the
-configuration, derives the RNG streams (``rb.rng(stream)``), gates what
-the mode may observe (``rb.check_beh``, ``rb.check_cost``,
-``rb.check_concrete``), and every checker records straight into it, so
-the ``Report`` it builds is reproducible byte for byte from its
-configuration.  A gated law records nothing: the monoid, homomorphism,
-universal-property and noninterference checkers return before reading
-an input when ``rb.check_beh`` is off, and ``commute`` then records no
-case, so ``Report.cases`` counts judged cases only.
+configuration, derives the RNG streams (``rb.rng(stream)``) and draws
+from them lazily (``rb.draws``), gates what the mode may observe
+(``rb.check_beh``, ``rb.check_cost``, ``rb.check_concrete``), and every
+checker records straight into it, so the ``Report`` it builds is
+reproducible byte for byte from its configuration.  Every ``check_*``
+judges the values its caller passes, in order.  A gated law records
+nothing: the monoid, homomorphism, universal-property and
+noninterference checkers return before reading a value when
+``rb.check_beh`` is off, and ``commute`` then records no case, so
+``Report.cases`` counts judged cases only.
 
 Every case is recorded through ``ReportBuilder.case(ok, law, detail)``.
 ``detail`` is a zero-argument callable returning the ``(input, expected,
 actual)`` triple of a failure record as raw values; it is called only
 when ``ok`` is false, so a passing case costs no rendering at all.
 ``ReportBuilder.equal`` is the same for a law that compares two values
-already computed.  ``ReportBuilder.fail`` is the one renderer: it
-renders each field once, so no record is quoted twice.  A square's
-record shows ``Charged`` results when the mode judges cost and the two
-images alone when it does not.
+already computed, and ``ReportBuilder.bound`` for a cost within its
+budget, judged only when ``rb.check_cost``.  ``ReportBuilder.fail`` is
+the one renderer: it renders each field once, so no record is quoted
+twice.  A square's record shows ``Charged`` results when the mode judges
+cost and the two images alone when it does not.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ import math
 import operator
 import random
 from dataclasses import asdict, dataclass, field
-from typing import Any, Callable, Dict, List, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from .cost import Charged, MonoidOps
 from .phase import AbstractionFn, EvaluationMode, abstract_equal
@@ -153,10 +156,11 @@ class ReportBuilder:
     ``check_beh``, ``check_cost`` and ``check_concrete`` (audits of
     representations, such as ``validate``) are those gates; ``check_cost``
     implies ``check_beh``.  ``case``, ``equal`` and ``fail`` are the only
-    writers of ``cases``, and a suite calls them only for a law its mode
-    judges.  Cost rows aggregate per size: the table keeps the maximum
-    observed implementation cost and bound for each size, sorted by size,
-    so tables stay small no matter how long the sweep runs.
+    writers of ``cases`` (``bound`` records through ``case``), and a suite
+    calls them only for a law its mode judges.  Cost rows aggregate per
+    size: the table keeps the maximum observed implementation cost and
+    bound for each size, sorted by size, so tables stay small no matter
+    how long the sweep runs.
     """
 
     def __init__(self, suite: str, seed: int, iterations: int,
@@ -176,6 +180,11 @@ class ReportBuilder:
         """The RNG stream named by the suite plus ``stream``."""
         return derive_rng(self.seed, self.suite + stream)
 
+    def draws(self, stream: str, draw: Callable[[random.Random], Any], n: int) -> Iterator[Any]:
+        """``n`` values ``draw(rng)`` from ``rng = self.rng(stream)``, each drawn only when it is read."""
+        rng = self.rng(stream)
+        return (draw(rng) for _ in range(n))
+
     def case(self, ok: bool, law: str, detail: Callable[[], Tuple[Any, Any, Any]]) -> bool:
         """Count one case; on failure, record ``detail()``'s (input, expected, actual)."""
         if ok:
@@ -192,6 +201,11 @@ class ReportBuilder:
             return True
         self.fail(law, input_, expected, actual)
         return False
+
+    def bound(self, law: str, input_: Any, cost: int, budget: int) -> None:
+        """When the mode judges cost, one case: ``cost <= budget``."""
+        if self.check_cost:
+            self.case(cost <= budget, law, lambda: (input_, f"<= {budget}", cost))
 
     def fail(self, law: str, input_: Any, expected: Any, actual: Any) -> None:
         """Count one case and record it failed: the one place a record's values are rendered."""
@@ -278,21 +292,16 @@ def commute(rb: ReportBuilder, square: SquareSpec, x: Any) -> Tuple[Charged[Any]
 
 def check_square(
     rb: ReportBuilder,
-    stream: str,
     square: SquareSpec,
-    inputs: Callable[[random.Random], Any],
-    n: int,
+    values: Iterable[Any],
     *,
     size_of: Callable[[Any], int],
 ) -> None:
-    """Sample inputs and check that the square commutes at each (``commute``).
+    """Check that the square commutes at each of ``values`` (``commute``).
 
-    Each sampled input contributes one case and one cost row keyed by
-    ``size_of``.
+    Each value contributes one case and one cost row keyed by ``size_of``.
     """
-    rng = rb.rng(stream)
-    for _ in range(n):
-        x = inputs(rng)
+    for x in values:
         top, bottom = commute(rb, square, x)
         rb.cost_row(size_of(x), top.cost.value, bottom.cost.value)
 
@@ -301,26 +310,22 @@ def check_square(
 
 def check_noninterference(
     rb: ReportBuilder,
-    stream: str,
     programs: Sequence[Tuple[str, Callable[[Any], Any]]],
-    inputs: Callable[[random.Random], Any],
-    n: int,
+    values: Iterable[Any],
 ) -> None:
-    """Named one-argument programs must agree on every sampled input.
+    """Named one-argument programs must agree on each of ``values``.
 
     A client run over each implementation is one program; a reference
     (oracle) program is one more member.  Every pair is compared with
-    ``==`` on every input, so agreement is symmetric and transitive
+    ``==`` on every value, so agreement is symmetric and transitive
     across the whole family by construction.  Outputs are behavior, so
-    nothing is sampled unless ``rb.check_beh``.
+    no value is read unless ``rb.check_beh``.
     """
     if len(programs) < 2:
         raise ValueError("noninterference needs at least two programs")
     if not rb.check_beh:
         return
-    rng = rb.rng(stream)
-    for _ in range(n):
-        x = inputs(rng)
+    for x in values:
         outs = [(name, program(x)) for name, program in programs]
         for i, (ni, oi) in enumerate(outs):
             for nj, oj in outs[i + 1:]:
@@ -339,25 +344,21 @@ def fold_elements(ops: MonoidOps, elems: Sequence[Any]) -> Any:
 
 def check_abstract_monoid(
     rb: ReportBuilder,
-    stream: str,
     ops: MonoidOps,
     alpha: AbstractionFn,
-    inputs: Callable[[random.Random], Any],
-    n: int,
+    values: Iterable[Tuple[Any, Any, Any]],
 ) -> None:
-    """Monoid laws up to the abstraction function.
+    """Monoid laws up to the abstraction function, on each ``(a, b, c)`` of ``values``.
 
-    Associativity and the unit laws are stated up to ``alpha``
+    Associativity and the unit laws (of ``a``) are stated up to ``alpha``
     (``abstract_equal``), never on representations, so balancing choices
     and cached fields cannot fail the laws.  With ``alpha.kernel`` no
     image is built unless a law fails, when the detail carries both.
     """
     if not rb.check_beh:
         return
-    rng = rb.rng(stream)
     image, empty, append = alpha.apply, ops.empty, ops.append
-    for _ in range(n):
-        a, b, c = inputs(rng), inputs(rng), inputs(rng)
+    for a, b, c in values:
         left = append(append(a, b).value, c).value
         right = append(a, append(b, c).value).value
         rb.case(
@@ -376,30 +377,27 @@ def check_abstract_monoid(
 
 def check_abstract_hom(
     rb: ReportBuilder,
-    stream: str,
     f: Callable[[Any], Charged[Any]],
     src_ops: MonoidOps,
     dst_ops: MonoidOps,
     alphas: Tuple[AbstractionFn, AbstractionFn],
-    inputs: Callable[[random.Random], Tuple[Any, Any, Any]],
-    n: int,
+    values: Iterable[Tuple[Any, Any, Any]],
 ) -> None:
     """Is ``f`` a monoid homomorphism up to abstraction?
 
-    Checks preservation of empty, append, and singleton on destination
-    images.  ``inputs`` yields (source value, source value, element)
-    triples; ``alphas`` is (source abstraction, destination abstraction).
+    Checks preservation of empty once, then of append and singleton on
+    each (source value, source value, element) triple of ``values``, on
+    destination images; ``alphas`` is (source abstraction, destination
+    abstraction).
     """
     if not rb.check_beh:
         return
     alpha_src, alpha_dst = alphas
-    rng = rb.rng(stream)
     image = alpha_dst.apply
     eq = alpha_dst.abs_eq
 
     rb.equal("hom/empty", alpha_src.apply(src_ops.empty), image(dst_ops.empty), image(f(src_ops.empty).value), eq)
-    for _ in range(n):
-        x1, x2, e = inputs(rng)
+    for x1, x2, e in values:
         via_src = f(src_ops.append(x1, x2).value).value
         via_dst = dst_ops.append(f(x1).value, f(x2).value).value
         rb.case(
@@ -416,7 +414,7 @@ def check_universal_property(
     alpha: AbstractionFn,
     target: str,
     ops: MonoidOps,
-    values: Sequence[Any],
+    values: Iterable[Any],
     *,
     extra_homs: Sequence[Tuple[str, Callable[[Any], Charged[Any]]]] = (),
 ) -> None:

@@ -176,15 +176,18 @@ class _TreePool:
 
     Two slots may hold one tree (``append(EMPTY, b)`` is ``b``).  That
     sharing is representation, so suites judge slots, not distinct trees.
+    A new pool has ``grow``n ``grows`` times from its seven small trees.
     """
 
-    def __init__(self, rng: random.Random, cap: int = 2048):
+    def __init__(self, rng: random.Random, cap: int, grows: int):
         self.rng = rng
         self.cap = cap
         self.pool: List[rbtree.RBTree] = [EMPTY] + [
             from_iterable(range(n)) for n in (1, 2, 3, 5, 8, 13)
         ]
         self._fresh = itertools.count(101)  # the leaves of trees that replace results over ``cap``
+        for _ in range(grows):
+            self.grow()
 
     def sample(self, rng: random.Random) -> rbtree.RBTree:
         return self.pool[randbelow(rng, len(self.pool))]
@@ -207,9 +210,7 @@ class _TreePool:
 def phase_roundtrip(rb: ReportBuilder) -> None:
     """Fracture then glue is the identity, and glue rejects incoherent pairs."""
     rng = rb.rng()
-    trees = _TreePool(rng, cap=256)
-    for _ in range(min(rb.iterations, _POOL_TREES)):
-        trees.grow()
+    trees = _TreePool(rng, cap=256, grows=min(rb.iterations, _POOL_TREES))
     # The pool holds its trees for the run, so each is imaged once; a tree
     # outside it, such as a rebuilt one from a broken ``fracture``, is walked.
     tree_alpha = dataclasses.replace(ELEMENTS_ALPHA, apply=_once_per_tree(elements, trees.pool))
@@ -400,12 +401,7 @@ def _run_coherence_trace(
                 lambda: ((bat, alt), "operations agree on abstractly equal states", (same_enq, same_deq)),
             )
 
-    if rb.check_cost:
-        rb.case(
-            reversal_work <= enqueues,
-            "queues/amortized-reversal",
-            lambda: (tuple(ops), f"<= {enqueues}", reversal_work),
-        )
+    rb.bound("queues/amortized-reversal", tuple(ops), reversal_work, enqueues)
 
 
 def exhaustive_traces(max_len: int, alphabet: Sequence[Any]) -> List[Tuple[Tuple[str, Tuple[Any, ...]], ...]]:
@@ -442,22 +438,9 @@ def queues_coherence(rb: ReportBuilder) -> None:
     if rb.check_beh:
         rb.equal("queues/empty-square", batched_empty(), list_empty(), rev_append(batched_empty()))
 
-    check_square(
-        rb,
-        "/enqueue",
-        ENQUEUE_SQUARE,
-        lambda r: (randbelow(r, 100), _random_batched_state(r)),
-        rb.iterations,
-        size_of=lambda p: _queue_length(p[1]),
-    )
-    check_square(
-        rb,
-        "/dequeue",
-        DEQUEUE_SQUARE,
-        _random_batched_state,
-        rb.iterations,
-        size_of=_queue_length,
-    )
+    pairs = rb.draws("/enqueue", lambda r: (randbelow(r, 100), _random_batched_state(r)), rb.iterations)
+    check_square(rb, ENQUEUE_SQUARE, pairs, size_of=lambda p: _queue_length(p[1]))
+    check_square(rb, DEQUEUE_SQUARE, rb.draws("/dequeue", _random_batched_state, rb.iterations), size_of=_queue_length)
 
     for trace in exhaustive_traces(6, (0, 1)):
         _run_coherence_trace(rb, trace)
@@ -510,9 +493,10 @@ def queues_noninterference(rb: ReportBuilder) -> None:
 
     impls = (("list", LIST_QUEUE), ("batched", BATCHED_QUEUE))
     demos = [(name, functools.partial(demo, q)) for name, q in impls] + [("oracle", lambda e: e)]
-    check_noninterference(rb, "/demo", demos, lambda r: randbelow(r, 100), rb.iterations)
+    check_noninterference(rb, demos, rb.draws("/demo", lambda r: randbelow(r, 100), rb.iterations))
     reversals = [(name, functools.partial(qreverse, q)) for name, q in impls] + [("oracle", lambda xs: xs[::-1])]
-    check_noninterference(rb, "/qreverse", reversals, lambda r: random_items(r, 100, randbelow(r, 201)), rb.iterations)
+    lists = rb.draws("/qreverse", lambda r: random_items(r, 100, randbelow(r, 201)), rb.iterations)
+    check_noninterference(rb, reversals, lists)
 
 
 # ---------------------------------------------------------------------------
@@ -546,7 +530,7 @@ def rbtree_invariants(rb: ReportBuilder) -> None:
     audited_laws = (("rbtree/invariant-audit",) if rb.check_concrete else ()) + (
         ("rbtree/append-elements", "rbtree/size-cache") if rb.check_beh else ()
     )
-    pool = _TreePool(rb.rng())
+    pool = _TreePool(rb.rng(), cap=2048, grows=0)
     try:
         for tree in pool.pool:
             validate(tree)
@@ -573,24 +557,13 @@ def rbtree_invariants(rb: ReportBuilder) -> None:
                 expected = left + right
                 rb.equal("rbtree/append-elements", (left, right), expected, elements(t))
                 rb.equal("rbtree/size-cache", expected, len(expected), length_fast(t))
-        bound = append_bound(a, b)
-        if rb.check_cost:
-            rb.case(
-                out.cost.value <= bound,
-                "rbtree/append-cost-bound",
-                lambda: ((a.black_height, b.black_height), f"<= {bound}", out.cost.value),
-            )
-        rb.cost_row(abs(a.black_height - b.black_height), out.cost.value, bound)
+        budget = append_bound(a, b)
+        rb.bound("rbtree/append-cost-bound", (a.black_height, b.black_height), out.cost.value, budget)
+        rb.cost_row(abs(a.black_height - b.black_height), out.cost.value, budget)
 
     samples = max(1, rb.iterations // 10)
-    check_abstract_monoid(
-        rb,
-        "/monoid",
-        MonoidOps(EMPTY, append, singleton),
-        ELEMENTS_ALPHA,
-        pool.sample,
-        samples,
-    )
+    triples = rb.draws("/monoid", lambda r: (pool.sample(r), pool.sample(r), pool.sample(r)), samples)
+    check_abstract_monoid(rb, MonoidOps(EMPTY, append, singleton), ELEMENTS_ALPHA, triples)
 
     if rb.check_beh:
         probe_rng = rb.rng("/clients")
@@ -622,9 +595,7 @@ def rbtree_universal(rb: ReportBuilder) -> None:
     """
     if not rb.check_beh:  # every law here compares values
         return
-    pool = _TreePool(rb.rng(), cap=512)
-    for _ in range(min(rb.iterations, 200)):
-        pool.grow()
+    pool = _TreePool(rb.rng(), cap=512, grows=min(rb.iterations, 200))
     tree_alpha = dataclasses.replace(ELEMENTS_ALPHA, apply=_once_per_tree(elements, pool.pool))
     targets = (
         ("nat-sum", SUM_OPS, (("cached-length", lambda t: Charged(ONE, length_fast(t))),)),
@@ -633,16 +604,10 @@ def rbtree_universal(rb: ReportBuilder) -> None:
     )
     for target, ops, extra_homs in targets:
         check_universal_property(rb, mapreduce, tree_alpha, target, ops, pool.pool, extra_homs=extra_homs)
-    check_abstract_hom(
-        rb,
-        "/length-hom",
-        _once_per_tree(lambda t: mapreduce(t, SUM_OPS), pool.pool),
-        MonoidOps(EMPTY, append, singleton),
-        SUM_OPS,
-        (tree_alpha, AbstractionFn(apply=lambda n: n)),
-        lambda r: (pool.sample(r), pool.sample(r), randbelow(r, 100)),
-        rb.iterations,
-    )
+    length = _once_per_tree(lambda t: mapreduce(t, SUM_OPS), pool.pool)
+    triples = rb.draws("/length-hom", lambda r: (pool.sample(r), pool.sample(r), randbelow(r, 100)), rb.iterations)
+    check_abstract_hom(rb, length, MonoidOps(EMPTY, append, singleton), SUM_OPS,
+                       (tree_alpha, AbstractionFn(apply=lambda n: n)), triples)
 
 
 @register("rbtree/reduce")
@@ -652,9 +617,7 @@ def rbtree_reduce(rb: ReportBuilder) -> None:
     A unit-cost reduce costs exactly ``2n - 1``, within its ``2n`` budget,
     and reducing with ``first`` returns the first element.
     """
-    pool = _TreePool(rb.rng(), cap=1024)
-    for _ in range(rb.iterations):
-        pool.grow()
+    pool = _TreePool(rb.rng(), cap=1024, grows=rb.iterations)
 
     def plus(x: int, y: int) -> Charged[int]:
         return Charged(ONE, x + y)
@@ -717,12 +680,7 @@ def sorting_bounds(rb: ReportBuilder) -> None:
             budget = bound_fn(n)
             if rb.check_beh:
                 rb.equal(behavior_law, items, expected, out.value)
-            if rb.check_cost:
-                rb.case(
-                    out.cost.value <= budget,
-                    bound_law,
-                    lambda: (items, f"<= {budget}", out.cost.value),
-                )
+            rb.bound(bound_law, items, out.cost.value, budget)
             rb.cost_row(n, out.cost.value, budget)
 
     exhaustive_n = 8 if rb.iterations >= 5000 else 6

@@ -40,10 +40,25 @@ SUM_OPS = MonoidOps(empty=0, append=lambda a, b: Charged(Cost(1), a + b), single
 
 
 def sweep(check, *args, seed: int = 0, mode: EvaluationMode = FULL, **kwargs):
-    """Run one checker into a fresh builder and return the report it builds."""
+    """Run one checker into a fresh builder and return the report it builds.
+
+    The last two of ``args`` are ``draw`` and ``n``: the checker judges the
+    ``n`` values ``draw`` makes from the builder's stream ``""``.
+    """
+    *args, draw, n = args
     rb = ReportBuilder("s", seed, 0, mode)
-    check(rb, "", *args, **kwargs)
+    check(rb, *args, rb.draws("", draw, n), **kwargs)
     return rb.build()
+
+
+def triples(draw):
+    """A draw of three values, made by ``draw`` in turn."""
+    return lambda rng: (draw(rng), draw(rng), draw(rng))
+
+
+def counting(draw, drawn: list):
+    """``draw``, appending each value it makes to ``drawn``."""
+    return lambda rng: drawn.append(draw(rng)) or drawn[-1]
 
 
 class TestRngDiscipline:
@@ -234,6 +249,70 @@ class TestModeGates:
         assert gates(EvaluationMode.CONCRETE) == (False, False)
 
 
+class TestDraws:
+    @staticmethod
+    def draw(rng: random.Random) -> tuple:
+        return random_items(rng, 9, randbelow(rng, 4))
+
+    def test_same_values_in_the_same_order_as_the_stream_by_hand(self) -> None:
+        rb = ReportBuilder("suite", 7, 10)
+        for stream in ("", "/x"):
+            by_hand = rb.rng(stream)
+            assert list(rb.draws(stream, self.draw, 25)) == [self.draw(by_hand) for _ in range(25)]
+
+    def test_draws_each_value_only_when_it_is_read(self) -> None:
+        drawn: list = []
+        values = ReportBuilder("s", 0, 10).draws("", counting(self.draw, drawn), 5)
+        assert drawn == []
+        first = next(values)
+        assert drawn == [first]
+        assert [first, *values] == drawn and len(drawn) == 5
+
+    @pytest.mark.parametrize("check, args", [
+        (check_noninterference, ([("a", tuple), ("b", tuple)],)),
+        (check_abstract_monoid, (TUPLE_OPS, IDENTITY)),
+    ])
+    def test_a_checker_gated_off_draws_nothing(self, check, args) -> None:
+        drawn: list = []
+        rep = sweep(check, *args, counting(triples(self.draw), drawn), 20, mode=EvaluationMode.CONCRETE)
+        assert (rep.cases, drawn) == (0, [])
+        assert sweep(check, *args, counting(triples(self.draw), drawn), 20).cases > 0
+        assert len(drawn) == 20
+
+
+class TestBound:
+    @pytest.mark.parametrize("mode, judged", [
+        (EvaluationMode.FULL, True),
+        (EvaluationMode.ABSTRACT, True),
+        (EvaluationMode.BEHAVIORAL, False),
+        (EvaluationMode.CONCRETE, False),
+    ])
+    def test_judged_only_where_the_mode_judges_cost(self, mode: EvaluationMode, judged: bool) -> None:
+        rb = ReportBuilder("s", 0, 10, mode)
+        rb.bound("law", (1, 2), 3, 3)
+        rb.bound("law", (1, 2), 4, 3)
+        rep = rb.build()
+        assert (rep.cases, len(rep.failures)) == ((2, 1) if judged else (0, 0))
+
+    def test_failure_record_is_the_hand_written_one(self) -> None:
+        items, cost, budget = (3, 1, 2), 9, 7
+        via_bound = ReportBuilder("s", 0, 10)
+        via_bound.bound("sorting/isort-bound", items, cost, budget)
+        via_case = ReportBuilder("s", 0, 10)
+        if via_case.check_cost:
+            via_case.case(cost <= budget, "sorting/isort-bound", lambda: (items, f"<= {budget}", cost))
+        assert via_bound.build() == via_case.build()
+        assert via_bound.build().failures == (Failure("(3, 1, 2)", "'<= 7'", "9", "sorting/isort-bound"),)
+
+    def test_records_through_case(self, monkeypatch) -> None:
+        laws = []
+        case = ReportBuilder.case
+        monkeypatch.setattr(ReportBuilder, "case",
+                            lambda self, ok, law, detail: laws.append(law) or case(self, ok, law, detail))
+        ReportBuilder("s", 0, 10).bound("law", 0, 1, 2)
+        assert laws == ["law"]
+
+
 def _const_inputs(value):
     return lambda rng: value
 
@@ -386,7 +465,7 @@ class TestCheckAbstractMonoid:
             check_abstract_monoid,
             TUPLE_OPS,
             IDENTITY,
-            lambda rng: tuple(rng.randrange(5) for _ in range(rng.randrange(4))),
+            triples(lambda rng: tuple(rng.randrange(5) for _ in range(rng.randrange(4)))),
             30,
             seed=1,
         )
@@ -399,7 +478,7 @@ class TestCheckAbstractMonoid:
             check_abstract_monoid,
             first,
             IDENTITY,
-            lambda rng: (rng.randrange(5),),
+            triples(lambda rng: (rng.randrange(5),)),
             10,
             seed=1,
         )
@@ -414,7 +493,7 @@ class TestCheckAbstractMonoid:
             return x
 
         alpha = AbstractionFn(apply=counted, kernel=lambda x, y: x == y)
-        draw = lambda rng: tuple(rng.randrange(5) for _ in range(rng.randrange(4)))  # noqa: E731
+        draw = triples(lambda rng: tuple(rng.randrange(5) for _ in range(rng.randrange(4))))
         rep = sweep(check_abstract_monoid, TUPLE_OPS, alpha, draw, 30, seed=1)
         assert rep.passed and rep.cases == 90 and images == []
         first = MonoidOps(empty=(), append=lambda a, b: ret(a), singleton=lambda e: (e,))

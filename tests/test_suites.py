@@ -392,6 +392,24 @@ def test_only_the_report_builder_renders() -> None:
     assert sorted(set(sites)) == ["harness.py:ReportBuilder.fail", "harness.py:def render"]
 
 
+def test_checkers_judge_the_values_they_are_given() -> None:
+    """In ``harness``, only ``ReportBuilder`` draws from an RNG stream.
+
+    No ``check_*`` takes a ``stream``, ``inputs`` or ``n`` or calls
+    ``.rng(``: a suite samples through ``rb.draws`` and passes the values,
+    so a checker can be run again on any one input by passing ``[x]``.
+    """
+    tree = ast.parse((Path(suites.__file__).parent / "harness.py").read_text(encoding="utf-8"))
+    builder = {id(node) for cls in tree.body
+               if isinstance(cls, ast.ClassDef) and cls.name == "ReportBuilder" for node in ast.walk(cls)}
+    rng_calls = [node.lineno for node in ast.walk(tree) if id(node) not in builder and isinstance(node, ast.Call)
+                 and isinstance(node.func, ast.Attribute) and node.func.attr == "rng"]
+    sampling_params = [f"{fn.name}({arg.arg})" for fn in tree.body
+                       if isinstance(fn, ast.FunctionDef) and fn.name.startswith("check_")
+                       for arg in fn.args.args + fn.args.kwonlyargs if arg.arg in ("stream", "inputs", "n")]
+    assert (rng_calls, sampling_params) == ([], [])
+
+
 def test_each_record_is_checked_in_its_one_constructor() -> None:
     """A class in ``src/`` with its own ``__init__`` has no second ``__post_init__`` body.
 
