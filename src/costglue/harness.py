@@ -1,11 +1,11 @@
 """Differential property harness for cost-and-behavior verification.
 
 The checkers here compare implementations against abstract models
-through abstraction functions: commuting squares (strict on cost or
-lax), noninterference between interchangeable implementations, monoid
-and homomorphism laws stated on abstraction images, and the universal
-property of structural folds.  A checker that reads a monoid takes it
-as one ``cost.MonoidOps``.
+through abstraction functions: commuting squares (exact on cost once a
+potential amortizes the concrete cost), noninterference between
+interchangeable implementations, monoid and homomorphism laws stated on
+abstraction images, and the universal property of structural folds.
+A checker that reads a monoid takes it as one ``cost.MonoidOps``.
 
 One ``ReportBuilder`` is the sweep object of a suite run: it holds the
 configuration, derives the RNG streams (``rb.rng(stream)``) and draws
@@ -27,8 +27,9 @@ when ``ok`` is false, so a passing case costs no rendering at all.
 already computed, and ``ReportBuilder.bound`` for a cost within its
 budget, judged only when ``rb.check_cost``.  ``ReportBuilder.fail`` is
 the one renderer: it renders each field once, so no record is quoted
-twice.  A square's record shows ``Charged`` results when the mode judges
-cost and the two images alone when it does not.
+twice.  A square's record shows ``(cost, image)`` pairs, the concrete
+cost amortized, when the mode judges cost and the two images alone when
+it does not.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from __future__ import annotations
 import math
 import operator
 import random
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from .cost import Charged, MonoidOps
@@ -243,51 +244,46 @@ class ReportBuilder:
 
 @dataclass(frozen=True)
 class SquareSpec:
-    """One operation stated twice: on representations and on models.
+    """One operation stated twice, on representations and on models; ``law`` names its cases.
 
     ``f_top`` acts on concrete inputs, ``f_abs`` on their images under
-    ``alpha_in``; outputs are compared under ``alpha_out``.  A strict
-    square demands equal costs on both paths; a lax square only that the
-    concrete path costs no more than the abstract one.
+    ``alpha_in``; outputs are compared under ``alpha_out``.  The concrete
+    cost plus ``potential(x, out)``, the change Phi(out) - Phi(x) from input
+    ``x`` to concrete output ``out``, is the amortized cost, and it must
+    equal the abstract cost.  The default potential is zero: a strict square.
     """
 
-    name: str
+    law: str
     f_top: Callable[[Any], Charged[Any]]
     f_abs: Callable[[Any], Charged[Any]]
     alpha_in: AbstractionFn
     alpha_out: AbstractionFn
-    lax: bool = False
-    law: str = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "law", f"square/{self.name}/{'lax' if self.lax else 'strict'}")
+    potential: Callable[[Any, Any], int] = lambda x, out: 0
 
 
-def commute(rb: ReportBuilder, square: SquareSpec, x: Any) -> Tuple[Charged[Any], Charged[Any]]:
-    """Check that ``square`` commutes at ``x``: one case, both paths returned.
+def commute(rb: ReportBuilder, square: SquareSpec, x: Any, x_abs: Any) -> Tuple[Charged[Any], Charged[Any], int, bool]:
+    """Check that ``square`` commutes at ``x``, whose image is ``x_abs``: one case.
 
-    Behavior must agree under ``alpha_out`` when ``rb.check_beh``; costs
-    must be equal (strict) or bounded (lax) when ``rb.check_cost``; with
-    neither gate on no case is recorded.  A failure records the abstract
-    result and the concrete one mapped by ``alpha_out``, as ``Charged``
-    values when ``rb.check_cost`` and as bare images otherwise.  Returns
-    the concrete and the abstract result, so a caller can step a trace or
-    record a cost row.
+    Behavior must agree under ``alpha_out`` when ``rb.check_beh``, and
+    the amortized cost the abstract cost when ``rb.check_cost``.  A failure
+    records the abstract result and the mapped concrete one as ``(cost,
+    image)`` pairs when ``rb.check_cost`` (an amortized cost can be
+    negative, which no ``Cost`` holds) and as bare images otherwise.
+    Returns both results, the amortized cost and whether the case passed
+    (true when none is judged), for a trace step or a cost row.
     """
     top = square.f_top(x)
-    bottom = square.f_abs(square.alpha_in.apply(x))
+    bottom = square.f_abs(x_abs)
+    amortized = top.cost.value + square.potential(x, top.value)
     if not rb.check_beh:  # and so not check_cost either
-        return top, bottom
+        return top, bottom, amortized, True
     mapped = square.alpha_out.apply(top.value)
     ok = square.alpha_out.abs_eq(mapped, bottom.value)
     if rb.check_cost:
-        ok = ok and (top.cost.value <= bottom.cost.value if square.lax else top.cost.value == bottom.cost.value)
-    rb.case(
-        bool(ok),
-        square.law,
-        lambda: (x, bottom, Charged(top.cost, mapped)) if rb.check_cost else (x, bottom.value, mapped),
-    )
-    return top, bottom
+        ok = ok and amortized == bottom.cost.value
+    ok = rb.case(bool(ok), square.law, lambda: (
+        (x, (bottom.cost.value, bottom.value), (amortized, mapped)) if rb.check_cost else (x, bottom.value, mapped)))
+    return top, bottom, amortized, ok
 
 
 def check_square(
@@ -299,11 +295,12 @@ def check_square(
 ) -> None:
     """Check that the square commutes at each of ``values`` (``commute``).
 
-    Each value contributes one case and one cost row keyed by ``size_of``.
+    Each value is imaged once and contributes one case and one cost row,
+    the amortized cost against the abstract one, keyed by ``size_of``.
     """
     for x in values:
-        top, bottom = commute(rb, square, x)
-        rb.cost_row(size_of(x), top.cost.value, bottom.cost.value)
+        _, bottom, amortized, _ = commute(rb, square, x, square.alpha_in.apply(x))
+        rb.cost_row(size_of(x), amortized, bottom.cost.value)
 
 
 # -- noninterference -------------------------------------------------------

@@ -2,18 +2,19 @@
 
 The list queue is the specification: its state is the tuple of the
 queue's contents, oldest first, so its abstraction function is the
-identity.  Enqueue appends at cost 1; dequeue charges the full length of
-the list as a deliberately generous bound.  The batched queue keeps an
-inbox (newest first) and an outbox (oldest first); enqueue conses onto
-the inbox at cost 1 and dequeue pops the outbox for free, paying to
-reverse the inbox into the outbox only when the outbox runs dry.
+identity.  It charges amortized prices: 2 per enqueue, 0 per dequeue.
+The batched queue keeps an inbox (newest first) and an outbox (oldest
+first); enqueue conses onto the inbox at cost 1 and dequeue pops the
+outbox for free, paying to reverse the inbox into the outbox only when
+the outbox runs dry.
 
 ``rev_append`` is the abstraction function relating them: a batched
 state means the list ``outbox ++ reverse(inbox)``.  Every batched
-operation commutes with the list operation through it; dequeue's cost
-sits below the specification's (that is what makes the bound lax rather
-than exact), and over any trace the total reversal work never exceeds
-the number of enqueues.
+operation commutes with the list operation through it, and its cost
+plus the change in ``batched_potential`` (one unit saved per inbox
+element) equals the list price exactly.  Summed over a trace, reversal
+work is the enqueues less the final potential, never more than the
+enqueues.
 
 Queues hold plain elements; dequeuing an empty queue returns
 ``DEFAULT_ELEMENT`` at no cost.
@@ -55,27 +56,28 @@ LIST_ALPHA: AbstractionFn = AbstractionFn(apply=lambda s: s)
 BATCHED_ALPHA: AbstractionFn = AbstractionFn(apply=rev_append)
 
 
+def batched_potential(state: BatchedQueueState) -> int:
+    """The credit saved for the next reversal: one unit per inbox element."""
+    return len(state.inbox)
+
+
 # -- list queue operations ----------------------------------------------
+
+_ENQUEUE_PRICE = Cost(2)  # one unit to add the element, one saved to reverse it
+
 
 def list_empty() -> Tuple[Any, ...]:
     return ()
 
 
 def list_enqueue(e: Any, s: Tuple[Any, ...]) -> Charged[Tuple[Any, ...]]:
-    """Append at the back; one unit, same as the batched enqueue."""
-    return Charged(ONE, s + (e,))
+    """Append at the back for ``_ENQUEUE_PRICE``."""
+    return Charged(_ENQUEUE_PRICE, s + (e,))
 
 
 def list_dequeue(s: Tuple[Any, ...]) -> Charged[Tuple[Any, Tuple[Any, ...]]]:
-    """Pop the front, charging the full current length.
-
-    The length charge is an upper bound chosen to dominate the batched
-    queue's occasional reversal; an empty queue yields
-    ``DEFAULT_ELEMENT`` at no cost.
-    """
-    if not s:
-        return Charged(ZERO, (DEFAULT_ELEMENT, s))
-    return Charged(Cost(len(s)), (s[0], s[1:]))
+    """Pop the front for free, its reversal paid for by its enqueue; an empty queue yields ``DEFAULT_ELEMENT``."""
+    return Charged(ZERO, (s[0], s[1:]) if s else (DEFAULT_ELEMENT, s))
 
 
 # -- batched queue operations -------------------------------------------

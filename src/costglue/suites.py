@@ -48,9 +48,11 @@ from .queues import (
     batched_dequeue,
     batched_empty,
     batched_enqueue,
+    batched_potential,
     demo,
     list_dequeue,
     list_empty,
+    list_enqueue,
     qreverse,
     queue_spec_member,
     rev_append,
@@ -334,21 +336,21 @@ def sealing_laws(rb: ReportBuilder) -> None:
 # Both paths look their operation up when they run, so a patched
 # ``batched_enqueue`` or ``batched_dequeue`` is the one judged.
 ENQUEUE_SQUARE = SquareSpec(
-    name="enqueue",
+    law="square/enqueue",
     f_top=lambda p: batched_enqueue(p[0], p[1]),
-    f_abs=lambda p: Charged(ONE, p[1] + (p[0],)),
+    f_abs=lambda p: list_enqueue(p[0], p[1]),
     alpha_in=AbstractionFn(apply=lambda p: (p[0], rev_append(p[1]))),
     alpha_out=BATCHED_ALPHA,
-    lax=False,
+    potential=lambda p, out: batched_potential(out) - batched_potential(p[1]),
 )
 
 DEQUEUE_SQUARE = SquareSpec(
-    name="dequeue",
+    law="square/dequeue",
     f_top=lambda s: batched_dequeue(s),
     f_abs=lambda s: list_dequeue(s),
     alpha_in=BATCHED_ALPHA,
     alpha_out=AbstractionFn(apply=lambda out: (out[0], rev_append(out[1]))),
-    lax=True,
+    potential=lambda s, out: batched_potential(out[1]) - batched_potential(s),
 )
 
 
@@ -361,31 +363,29 @@ def _run_coherence_trace(
     ops: Sequence[Tuple[str, Tuple[Any, ...]]],
     quotient_rng: Optional[random.Random] = None,
 ) -> None:
-    """Step a trace through the batched queue, commuting each step's square.
+    """Step a trace through both queues in lockstep, commuting each step's square.
 
-    Each step is checked from the image of the current batched state.
-    With ``quotient_rng`` every step also checks that abstractly equal
-    states are indistinguishable to the operations.
+    Each step's square takes the list queue's state as the image of the
+    batched one, which it is while the squares hold; the walk ends at the
+    first square that fails, where the two states may have parted.  With
+    ``quotient_rng`` every step also checks that abstractly equal states
+    are indistinguishable to the operations.
     """
-    bat = batched_empty()
-    enqueues = 0
-    reversal_work = 0
+    bat, lst = batched_empty(), list_empty()
     for op, args in ops:
         if op == "enqueue":
-            top, _ = commute(rb, ENQUEUE_SQUARE, (args[0], bat))
-            enqueues += 1
-            bat = top.value
+            top, bottom, _, ok = commute(rb, ENQUEUE_SQUARE, (args[0], bat), (args[0], lst))
+            bat, lst = top.value, bottom.value
         else:
-            size = _queue_length(bat)
-            top, bottom = commute(rb, DEQUEUE_SQUARE, bat)
-            rb.cost_row(size, top.cost.value, bottom.cost.value)
-            reversal_work += top.cost.value
-            bat = top.value[1]
+            top, bottom, amortized, ok = commute(rb, DEQUEUE_SQUARE, bat, lst)
+            rb.cost_row(len(lst), amortized, bottom.cost.value)
+            bat, lst = top.value[1], bottom.value[1]
+        if not ok:
+            return
 
         if quotient_rng is not None and rb.check_beh:
-            image = rev_append(bat)
-            cut = randbelow(quotient_rng, len(image) + 1)
-            alt = BatchedQueueState(image[cut:][::-1], image[:cut])
+            cut = randbelow(quotient_rng, len(lst) + 1)
+            alt = BatchedQueueState(lst[cut:][::-1], lst[:cut])
             probe_e = randbelow(quotient_rng, 100)
             same_enq = abstract_equal(
                 batched_enqueue(probe_e, bat).value,
@@ -400,8 +400,6 @@ def _run_coherence_trace(
                 "queues/quotient-soundness",
                 lambda: ((bat, alt), "operations agree on abstractly equal states", (same_enq, same_deq)),
             )
-
-    rb.bound("queues/amortized-reversal", tuple(ops), reversal_work, enqueues)
 
 
 def exhaustive_traces(max_len: int, alphabet: Sequence[Any]) -> List[Tuple[Tuple[str, Tuple[Any, ...]], ...]]:
@@ -428,12 +426,13 @@ def random_trace(rng: random.Random, max_len: int = 200) -> Tuple[Tuple[str, Tup
 def queues_coherence(rb: ReportBuilder) -> None:
     """Squares for every queue operation, exhaustively on short traces.
 
-    Runs the strict enqueue square and the lax dequeue square on random
-    states, then walks every trace of length at most 6 over a two-element
-    alphabet plus ``iterations`` random traces of length at most 200,
-    checking squares stepwise along with the amortized reversal bound and
-    quotient soundness.  The lax square's cost half is the list-queue
-    upper bound a seal of the dequeue would state, so no seal is built.
+    Runs the enqueue and dequeue squares on random states, then walks
+    every trace of length at most 6 over a two-element alphabet plus
+    ``iterations`` random traces of length at most 200, checking squares
+    stepwise along with quotient soundness.  Each square is exact on cost
+    once ``batched_potential`` amortizes the batched cost, so summed over
+    a trace the squares bound the reversal work by the enqueues: it is
+    the enqueues less the final potential.
     """
     if rb.check_beh:
         rb.equal("queues/empty-square", batched_empty(), list_empty(), rev_append(batched_empty()))

@@ -188,12 +188,13 @@ def test_seal_laws_record_a_bound_skipping_seal_charge(monkeypatch) -> None:
 def test_queue_coherence_rejects_a_dropping_enqueue(monkeypatch, mode) -> None:
     monkeypatch.setattr(suites, "batched_enqueue", dropping_enqueue)
     rep = suites.REGISTRY["queues/coherence"](0, 20, mode)
-    laws = {f.law for f in rep.failures}
-    assert "square/enqueue/strict" in laws
-    # Each trace step is checked from the batched state's own image; a
-    # square's record shows cost only in a mode that judges it.
+    # A trace's walk ends at its first failing square, so no later step
+    # records a dequeue or quotient failure that the enqueue caused.
+    assert {f.law for f in rep.failures} == {"square/enqueue"}
+    # A square's record shows (cost, image) pairs, the batched cost
+    # amortized, only in a mode that judges cost.
     images = {
-        FULL: ("Charged(cost=Cost(1), value=(1,))", "Charged(cost=Cost(1), value=())"),
+        FULL: ("(2, (1,))", "(1, ())"),
         BEHAVIORAL: ("(1,)", "()"),
     }[mode]
     assert ("(1, BatchedQueueState(inbox=(), outbox=()))", *images) in [
@@ -204,7 +205,7 @@ def test_queue_coherence_rejects_an_overcharging_dequeue(monkeypatch) -> None:
     monkeypatch.setattr(suites, "batched_dequeue", overcharging_dequeue)
     rep = suites.REGISTRY["queues/coherence"](0, 20, FULL)
     laws = {f.law for f in rep.failures}
-    assert {"square/dequeue/lax", "queues/amortized-reversal"} <= laws
+    assert "square/dequeue" in laws
 
 
 def test_behavioral_mode_erases_the_dequeue_overcharge(monkeypatch) -> None:

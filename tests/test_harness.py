@@ -322,37 +322,52 @@ def _zero_size(x) -> int:
 
 
 class TestCheckSquare:
-    def _square(self, top_charge: int, abs_charge: int, lax: bool) -> SquareSpec:
+    def _square(self, top_charge: int, abs_charge: int, **potential) -> SquareSpec:
         return SquareSpec(
-            name="double",
+            law="square/double",
             f_top=lambda x: charge(top_charge, ret(x * 2)),
             f_abs=lambda x: charge(abs_charge, ret(x * 2)),
             alpha_in=IDENTITY,
             alpha_out=IDENTITY,
-            lax=lax,
+            **potential,
         )
 
     def test_commuting_square_passes(self) -> None:
-        rep = sweep(check_square, self._square(1, 1, lax=False), _const_inputs(3), 5, size_of=_zero_size)
+        rep = sweep(check_square, self._square(1, 1), _const_inputs(3), 5, size_of=_zero_size)
         assert rep.passed
         assert rep.cases == 5
 
     def test_strict_square_sees_cost_mismatch(self) -> None:
-        rep = sweep(check_square, self._square(0, 1, lax=False), _const_inputs(3), 4, size_of=_zero_size)
-        assert not rep.passed
-        assert all("strict" in f.law for f in rep.failures)
+        for top_charge in (0, 2):
+            rep = sweep(check_square, self._square(top_charge, 1), _const_inputs(3), 4, size_of=_zero_size)
+            assert not rep.passed
+            assert {f.law for f in rep.failures} == {"square/double"}
 
-    def test_lax_square_allows_cheaper_top(self) -> None:
-        rep = sweep(check_square, self._square(0, 1, lax=True), _const_inputs(3), 4, size_of=_zero_size)
-        assert rep.passed
+    @staticmethod
+    def _rise(x: int, out: int) -> int:
+        """Φ(v) = v: the step from 3 to 6 raises the potential by 3."""
+        return out - x
 
-    def test_lax_square_rejects_costlier_top(self) -> None:
-        rep = sweep(check_square, self._square(2, 1, lax=True), _const_inputs(3), 4, size_of=_zero_size)
-        assert not rep.passed
+    def test_potential_amortizes_the_concrete_cost(self) -> None:
+        rep = sweep(check_square, self._square(2, 5, potential=self._rise), _const_inputs(3), 4, size_of=_zero_size)
+        assert rep.passed  # 2 + 3 == 5
+        assert rep.cost_table == ((0, 5, 5),)
+
+    def test_potential_square_fails_one_unit_under_and_over(self) -> None:
+        for top_charge in (1, 3):
+            square = self._square(top_charge, 5, potential=self._rise)
+            rep = sweep(check_square, square, _const_inputs(3), 4, size_of=_zero_size)
+            assert rep.cases == len(rep.failures) == 4
+            assert rep.failures[0] == Failure("3", "(5, 6)", f"({top_charge + 3}, 6)", "square/double")
+
+    def test_amortized_cost_below_zero_fails_without_raising(self) -> None:
+        square = self._square(0, 0, potential=lambda x, out: -out)
+        rep = sweep(check_square, square, _const_inputs(3), 2, size_of=_zero_size)
+        assert rep.failures[0] == Failure("3", "(0, 6)", "(-6, 6)", "square/double")
 
     def test_behavior_mismatch_is_caught(self) -> None:
         square = SquareSpec(
-            name="broken",
+            law="square/broken",
             f_top=lambda x: ret(x + 1),
             f_abs=lambda x: ret(x - 1),
             alpha_in=IDENTITY,
@@ -360,17 +375,16 @@ class TestCheckSquare:
         )
         rep = sweep(check_square, square, _const_inputs(10), 3, size_of=_zero_size)
         assert not rep.passed
-        assert (rep.failures[0].expected, rep.failures[0].actual) == (
-            "Charged(cost=Cost(0), value=9)", "Charged(cost=Cost(0), value=11)")
+        assert (rep.failures[0].expected, rep.failures[0].actual) == ("(0, 9)", "(0, 11)")
         # Where cost is out of view, the record shows the images alone.
         behavioral = sweep(check_square, square, _const_inputs(10), 3, size_of=_zero_size,
                            mode=EvaluationMode.BEHAVIORAL)
-        assert behavioral.failures[0] == Failure("10", "9", "11", "square/broken/strict")
+        assert behavioral.failures[0] == Failure("10", "9", "11", "square/broken")
 
     def test_behavioral_mode_ignores_cost(self) -> None:
         rep = sweep(
             check_square,
-            self._square(0, 1, lax=False),
+            self._square(0, 1),
             _const_inputs(3),
             4,
             size_of=_zero_size,
@@ -380,7 +394,7 @@ class TestCheckSquare:
 
     def test_concrete_mode_checks_nothing(self) -> None:
         square = SquareSpec(
-            name="broken",
+            law="square/broken",
             f_top=lambda x: ret(x + 1),
             f_abs=lambda x: ret(x - 1),
             alpha_in=IDENTITY,
@@ -392,16 +406,15 @@ class TestCheckSquare:
 
     def test_commute_returns_both_paths_and_records_one_case(self) -> None:
         rb = ReportBuilder("s", 0, 1)
-        top, bottom = commute(rb, self._square(2, 1, lax=False), 3)
-        assert (top, bottom) == (Charged(Cost(2), 6), Charged(Cost(1), 6))
+        # The abstract input comes from the caller, so the abstract path runs on 4.
+        square = self._square(2, 1, potential=lambda x, out: 1)
+        assert commute(rb, square, 3, 4) == (Charged(Cost(2), 6), Charged(Cost(1), 8), 3, False)
         rep = rb.build()
         assert rep.cases == 1
-        assert rep.failures == (
-            Failure("3", "Charged(cost=Cost(1), value=6)", "Charged(cost=Cost(2), value=6)", "square/double/strict"),
-        )
+        assert rep.failures == (Failure("3", "(1, 8)", "(3, 6)", "square/double"),)
 
     def test_cost_rows_use_size_of(self) -> None:
-        rep = sweep(check_square, self._square(1, 1, lax=False), _const_inputs((1, 2)), 3, size_of=len)
+        rep = sweep(check_square, self._square(1, 1), _const_inputs((1, 2)), 3, size_of=len)
         assert rep.cost_table == ((2, 1, 1),)
 
 

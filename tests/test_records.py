@@ -11,7 +11,7 @@ import pytest
 from costglue import cost, rbtree, sealing
 from costglue.cost import MAX_COST, ONE, ZERO, Charged, Cost, bind, charge, ret
 from costglue.phase import glue
-from costglue.queues import BATCHED_ALPHA, BatchedQueueState, batched_enqueue, list_enqueue
+from costglue.queues import BATCHED_ALPHA, BatchedQueueState, batched_enqueue, list_dequeue, list_enqueue
 from costglue.rbtree import EMPTY, Color, Empty, Leaf, Node
 from costglue.sealing import BoundViolation, Sealed, seal
 
@@ -95,7 +95,8 @@ def test_sums_are_ordinary_costs() -> None:
 
 def test_shared_constants() -> None:
     assert ZERO == Cost(0) and ONE == Cost(1)
-    assert list_enqueue(7, ()).cost is ONE
+    assert list_enqueue(7, ()).cost is list_enqueue(8, (7,)).cost == Cost(2)
+    assert list_dequeue((7,)).cost is ZERO
     assert batched_enqueue(7, BatchedQueueState()).cost is ONE
 
 

@@ -34,10 +34,10 @@ PINNED = {
         "concrete": "eea3c53359ca45014a079ea1f5c99d86baaef94f",
     },
     "queues/coherence": {
-        "full": "3b63c2c27892e150d9b359b0e1d672f3271b9ae7",
-        "abstract": "7d219c63651eda26ddfbc7bc8d2c4ef3017a86e1",
+        "full": "60003bdbc26a10e666af1214ae1002071e847d55",
+        "abstract": "533bce6d10fde52de157986a09585b5924ca402d",
         "behavioral": "96d8c8f77e534fcbde694416ca5b342fb3329a33",
-        "concrete": "e6d7a0466ddd81c83cdce797e1282a8a6b99d28e",
+        "concrete": "373f07a43ce76b69190c9e6ff3037bcdb34b6ba4",
     },
     "queues/noninterference": {
         "full": "c404ae1e0d19e5c0d336f016460085621316596a",
