@@ -14,10 +14,8 @@ from them lazily (``rb.draws``), gates what the mode may observe
 checker records straight into it, so the ``Report`` it builds is
 reproducible byte for byte from its configuration.  Every ``check_*``
 judges the values its caller passes, in order.  A gated law records
-nothing: the monoid, homomorphism, universal-property and
-noninterference checkers return before reading a value when
-``rb.check_beh`` is off, and ``commute`` then records no case, so
-``Report.cases`` counts judged cases only.
+nothing: every checker returns before reading a value when
+``rb.check_beh`` is off, so ``Report.cases`` counts judged cases only.
 
 Every case is recorded through ``ReportBuilder.case(ok, law, detail)``.
 ``detail`` is a zero-argument callable returning the ``(input, expected,
@@ -25,7 +23,8 @@ actual)`` triple of a failure record as raw values; it is called only
 when ``ok`` is false, so a passing case costs no rendering at all.
 ``ReportBuilder.equal`` is the same for a law that compares two values
 already computed, and ``ReportBuilder.bound`` for a cost within its
-budget, judged only when ``rb.check_cost``.  ``ReportBuilder.fail`` is
+budget, judged only when ``rb.check_cost``; it also records the cost's
+row, so a bound and its row are stated once.  ``ReportBuilder.fail`` is
 the one renderer: it renders each field once, so no record is quoted
 twice.  A square's record shows ``(cost, image)`` pairs, the concrete
 cost amortized, when the mode judges cost and the two images alone when
@@ -203,10 +202,11 @@ class ReportBuilder:
         self.fail(law, input_, expected, actual)
         return False
 
-    def bound(self, law: str, input_: Any, cost: int, budget: int) -> None:
-        """When the mode judges cost, one case: ``cost <= budget``."""
+    def bound(self, law: str, input_: Any, cost: int, budget: int, size: int) -> None:
+        """When the mode judges cost, one case: ``cost <= budget``; in every mode, ``cost_row(size, cost, budget)``."""
         if self.check_cost:
             self.case(cost <= budget, law, lambda: (input_, f"<= {budget}", cost))
+        self.cost_row(size, cost, budget)
 
     def fail(self, law: str, input_: Any, expected: Any, actual: Any) -> None:
         """Count one case and record it failed: the one place a record's values are rendered."""
@@ -261,46 +261,39 @@ class SquareSpec:
     potential: Callable[[Any, Any], int] = lambda x, out: 0
 
 
-def commute(rb: ReportBuilder, square: SquareSpec, x: Any, x_abs: Any) -> Tuple[Charged[Any], Charged[Any], int, bool]:
+def commute(rb: ReportBuilder, square: SquareSpec, x: Any, x_abs: Any) -> Tuple[Charged[Any], Charged[Any], bool]:
     """Check that ``square`` commutes at ``x``, whose image is ``x_abs``: one case.
 
-    Behavior must agree under ``alpha_out`` when ``rb.check_beh``, and
-    the amortized cost the abstract cost when ``rb.check_cost``.  A failure
-    records the abstract result and the mapped concrete one as ``(cost,
-    image)`` pairs when ``rb.check_cost`` (an amortized cost can be
-    negative, which no ``Cost`` holds) and as bare images otherwise.
-    Returns both results, the amortized cost and whether the case passed
-    (true when none is judged), for a trace step or a cost row.
+    Callers call it only when ``rb.check_beh``.  Behavior must agree under
+    ``alpha_out``, and the amortized cost the abstract cost when
+    ``rb.check_cost``.  ``x`` may be any representative of ``x_abs``, so
+    commuting at a second one judges the quotient.  A failure records the
+    abstract result and the mapped concrete one as ``(cost, image)`` pairs
+    when ``rb.check_cost`` (an amortized cost can be negative, which no
+    ``Cost`` holds) and as bare images otherwise.  Returns both results
+    and whether the case passed, for a trace step.
     """
     top = square.f_top(x)
     bottom = square.f_abs(x_abs)
-    amortized = top.cost.value + square.potential(x, top.value)
-    if not rb.check_beh:  # and so not check_cost either
-        return top, bottom, amortized, True
     mapped = square.alpha_out.apply(top.value)
     ok = square.alpha_out.abs_eq(mapped, bottom.value)
     if rb.check_cost:
+        amortized = top.cost.value + square.potential(x, top.value)
         ok = ok and amortized == bottom.cost.value
     ok = rb.case(bool(ok), square.law, lambda: (
         (x, (bottom.cost.value, bottom.value), (amortized, mapped)) if rb.check_cost else (x, bottom.value, mapped)))
-    return top, bottom, amortized, ok
+    return top, bottom, ok
 
 
-def check_square(
-    rb: ReportBuilder,
-    square: SquareSpec,
-    values: Iterable[Any],
-    *,
-    size_of: Callable[[Any], int],
-) -> None:
-    """Check that the square commutes at each of ``values`` (``commute``).
+def check_square(rb: ReportBuilder, square: SquareSpec, values: Iterable[Any]) -> None:
+    """Check that the square commutes at each of ``values`` (``commute``), each imaged once.
 
-    Each value is imaged once and contributes one case and one cost row,
-    the amortized cost against the abstract one, keyed by ``size_of``.
+    Outputs are behavior, so no value is read unless ``rb.check_beh``.
     """
+    if not rb.check_beh:
+        return
     for x in values:
-        _, bottom, amortized, _ = commute(rb, square, x, square.alpha_in.apply(x))
-        rb.cost_row(size_of(x), amortized, bottom.cost.value)
+        commute(rb, square, x, square.alpha_in.apply(x))
 
 
 # -- noninterference -------------------------------------------------------

@@ -63,10 +63,10 @@ class TestRun:
 
     def test_markdown_format(self, capsys) -> None:
         code, out, _ = run_cli(
-            capsys, "run", "--suite", "queues/coherence", "--iters", "5", "--format", "md"
+            capsys, "run", "--suite", "rbtree/reduce", "--iters", "5", "--format", "md"
         )
         assert code == 0
-        assert out.startswith("# Suite `queues/coherence`")
+        assert out.startswith("# Suite `rbtree/reduce`")
         assert "- verdict: PASS" in out
         assert "| size | impl_cost | spec_cost |" in out
 

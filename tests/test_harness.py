@@ -289,18 +289,32 @@ class TestBound:
     ])
     def test_judged_only_where_the_mode_judges_cost(self, mode: EvaluationMode, judged: bool) -> None:
         rb = ReportBuilder("s", 0, 10, mode)
-        rb.bound("law", (1, 2), 3, 3)
-        rb.bound("law", (1, 2), 4, 3)
+        rb.bound("law", (1, 2), 3, 3, 2)
+        rb.bound("law", (1, 2), 4, 3, 2)
         rep = rb.build()
         assert (rep.cases, len(rep.failures)) == ((2, 1) if judged else (0, 0))
+
+    @pytest.mark.parametrize("mode, rows", [
+        (EvaluationMode.FULL, ((2, 4, 3), (5, 1, 6))),
+        (EvaluationMode.ABSTRACT, ((2, 4, 3), (5, 1, 6))),
+        (EvaluationMode.CONCRETE, ((2, 4, 3), (5, 1, 6))),
+        (EvaluationMode.BEHAVIORAL, ()),
+    ])
+    def test_records_its_row_wherever_cost_is_in_view(self, mode: EvaluationMode, rows: tuple) -> None:
+        rb = ReportBuilder("s", 0, 10, mode)
+        rb.bound("law", (1, 2), 3, 3, 2)
+        rb.bound("law", (1, 2), 4, 3, 2)
+        rb.bound("law", (1, 2, 3), 1, 6, 5)
+        assert rb.build().cost_table == rows
 
     def test_failure_record_is_the_hand_written_one(self) -> None:
         items, cost, budget = (3, 1, 2), 9, 7
         via_bound = ReportBuilder("s", 0, 10)
-        via_bound.bound("sorting/isort-bound", items, cost, budget)
+        via_bound.bound("sorting/isort-bound", items, cost, budget, len(items))
         via_case = ReportBuilder("s", 0, 10)
         if via_case.check_cost:
             via_case.case(cost <= budget, "sorting/isort-bound", lambda: (items, f"<= {budget}", cost))
+        via_case.cost_row(len(items), cost, budget)
         assert via_bound.build() == via_case.build()
         assert via_bound.build().failures == (Failure("(3, 1, 2)", "'<= 7'", "9", "sorting/isort-bound"),)
 
@@ -309,16 +323,12 @@ class TestBound:
         case = ReportBuilder.case
         monkeypatch.setattr(ReportBuilder, "case",
                             lambda self, ok, law, detail: laws.append(law) or case(self, ok, law, detail))
-        ReportBuilder("s", 0, 10).bound("law", 0, 1, 2)
+        ReportBuilder("s", 0, 10).bound("law", 0, 1, 2, 0)
         assert laws == ["law"]
 
 
 def _const_inputs(value):
     return lambda rng: value
-
-
-def _zero_size(x) -> int:
-    return 0
 
 
 class TestCheckSquare:
@@ -333,13 +343,13 @@ class TestCheckSquare:
         )
 
     def test_commuting_square_passes(self) -> None:
-        rep = sweep(check_square, self._square(1, 1), _const_inputs(3), 5, size_of=_zero_size)
+        rep = sweep(check_square, self._square(1, 1), _const_inputs(3), 5)
         assert rep.passed
         assert rep.cases == 5
 
     def test_strict_square_sees_cost_mismatch(self) -> None:
         for top_charge in (0, 2):
-            rep = sweep(check_square, self._square(top_charge, 1), _const_inputs(3), 4, size_of=_zero_size)
+            rep = sweep(check_square, self._square(top_charge, 1), _const_inputs(3), 4)
             assert not rep.passed
             assert {f.law for f in rep.failures} == {"square/double"}
 
@@ -349,20 +359,19 @@ class TestCheckSquare:
         return out - x
 
     def test_potential_amortizes_the_concrete_cost(self) -> None:
-        rep = sweep(check_square, self._square(2, 5, potential=self._rise), _const_inputs(3), 4, size_of=_zero_size)
+        rep = sweep(check_square, self._square(2, 5, potential=self._rise), _const_inputs(3), 4)
         assert rep.passed  # 2 + 3 == 5
-        assert rep.cost_table == ((0, 5, 5),)
 
     def test_potential_square_fails_one_unit_under_and_over(self) -> None:
         for top_charge in (1, 3):
             square = self._square(top_charge, 5, potential=self._rise)
-            rep = sweep(check_square, square, _const_inputs(3), 4, size_of=_zero_size)
+            rep = sweep(check_square, square, _const_inputs(3), 4)
             assert rep.cases == len(rep.failures) == 4
             assert rep.failures[0] == Failure("3", "(5, 6)", f"({top_charge + 3}, 6)", "square/double")
 
     def test_amortized_cost_below_zero_fails_without_raising(self) -> None:
         square = self._square(0, 0, potential=lambda x, out: -out)
-        rep = sweep(check_square, square, _const_inputs(3), 2, size_of=_zero_size)
+        rep = sweep(check_square, square, _const_inputs(3), 2)
         assert rep.failures[0] == Failure("3", "(0, 6)", "(-6, 6)", "square/double")
 
     def test_behavior_mismatch_is_caught(self) -> None:
@@ -373,23 +382,15 @@ class TestCheckSquare:
             alpha_in=IDENTITY,
             alpha_out=IDENTITY,
         )
-        rep = sweep(check_square, square, _const_inputs(10), 3, size_of=_zero_size)
+        rep = sweep(check_square, square, _const_inputs(10), 3)
         assert not rep.passed
         assert (rep.failures[0].expected, rep.failures[0].actual) == ("(0, 9)", "(0, 11)")
         # Where cost is out of view, the record shows the images alone.
-        behavioral = sweep(check_square, square, _const_inputs(10), 3, size_of=_zero_size,
-                           mode=EvaluationMode.BEHAVIORAL)
+        behavioral = sweep(check_square, square, _const_inputs(10), 3, mode=EvaluationMode.BEHAVIORAL)
         assert behavioral.failures[0] == Failure("10", "9", "11", "square/broken")
 
     def test_behavioral_mode_ignores_cost(self) -> None:
-        rep = sweep(
-            check_square,
-            self._square(0, 1),
-            _const_inputs(3),
-            4,
-            size_of=_zero_size,
-            mode=EvaluationMode.BEHAVIORAL,
-        )
+        rep = sweep(check_square, self._square(0, 1), _const_inputs(3), 4, mode=EvaluationMode.BEHAVIORAL)
         assert rep.passed
 
     def test_concrete_mode_checks_nothing(self) -> None:
@@ -400,22 +401,23 @@ class TestCheckSquare:
             alpha_in=IDENTITY,
             alpha_out=IDENTITY,
         )
-        rep = sweep(check_square, square, _const_inputs(3), 4, mode=EvaluationMode.CONCRETE, size_of=_zero_size)
-        assert rep.passed
-        assert rep.cases == 0
+
+        def unread():
+            raise AssertionError("a square gated off read a value")
+            yield
+
+        rb = ReportBuilder("s", 0, 1, EvaluationMode.CONCRETE)
+        check_square(rb, square, unread())
+        assert rb.build() == ReportBuilder("s", 0, 1, EvaluationMode.CONCRETE).build()
 
     def test_commute_returns_both_paths_and_records_one_case(self) -> None:
         rb = ReportBuilder("s", 0, 1)
         # The abstract input comes from the caller, so the abstract path runs on 4.
         square = self._square(2, 1, potential=lambda x, out: 1)
-        assert commute(rb, square, 3, 4) == (Charged(Cost(2), 6), Charged(Cost(1), 8), 3, False)
+        assert commute(rb, square, 3, 4) == (Charged(Cost(2), 6), Charged(Cost(1), 8), False)
         rep = rb.build()
         assert rep.cases == 1
         assert rep.failures == (Failure("3", "(1, 8)", "(3, 6)", "square/double"),)
-
-    def test_cost_rows_use_size_of(self) -> None:
-        rep = sweep(check_square, self._square(1, 1), _const_inputs((1, 2)), 3, size_of=len)
-        assert rep.cost_table == ((2, 1, 1),)
 
 
 class TestCheckNoninterference:

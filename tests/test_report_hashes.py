@@ -34,15 +34,15 @@ PINNED = {
         "concrete": "eea3c53359ca45014a079ea1f5c99d86baaef94f",
     },
     "queues/coherence": {
-        "full": "60003bdbc26a10e666af1214ae1002071e847d55",
-        "abstract": "533bce6d10fde52de157986a09585b5924ca402d",
-        "behavioral": "96d8c8f77e534fcbde694416ca5b342fb3329a33",
-        "concrete": "373f07a43ce76b69190c9e6ff3037bcdb34b6ba4",
+        "full": "9717d4489fcff0aff316a8ca66aebbb72aa8126f",
+        "abstract": "37de702ded0dcf7a7007927654715dd560ba7caa",
+        "behavioral": "0269ff4551fa702e650808bb4b1e84bde9b7b953",
+        "concrete": "4cbeab9e9e209bb506e8ff1e7ce4570e38d92328",
     },
     "queues/noninterference": {
-        "full": "c404ae1e0d19e5c0d336f016460085621316596a",
-        "abstract": "dda30610812b81f4f47289d7d8c23eb35fb075f8",
-        "behavioral": "50c4ecacd157693a794e59c0f4769ec9e53e24df",
+        "full": "48a738e3ec609daccaa980c87e9038234faf95c5",
+        "abstract": "0d7afbc4a3f9f90735e12354e8e1f68ef4b56250",
+        "behavioral": "52454387090157c03463ef27b65fc57b97c84abc",
         "concrete": "abdbe0839d958df747da6686a80299990c8dd566",
     },
     "rbtree/invariants": {
