@@ -86,12 +86,15 @@ def as_cost(c: CostLike) -> Cost:
     return c if isinstance(c, Cost) else Cost(c)
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True, eq=False, init=False)
 class Charged(Generic[T]):
     """A value together with the cost accumulated while producing it.
 
     The cost may be given as a plain integer, which ``as_cost`` validates
-    into a ``Cost`` before it is stored.
+    into a ``Cost`` before it is stored.  Equality and hash are written by
+    hand and match the generated rule, ``(cost, value)`` compared as
+    tuples (``x is y or x == y`` per field) with a charged value of the
+    same class, without building either tuple.
     """
 
     cost: Cost
@@ -102,6 +105,18 @@ class Charged(Generic[T]):
         _set_charged_value(self, value)
 
     __post_init__ = __init__  # perfbench counts constructions by this code object
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        a, b = self.cost, other.cost
+        if not (a is b or a == b):
+            return False
+        a, b = self.value, other.value
+        return a is b or bool(a == b)
+
+    def __hash__(self) -> int:
+        return hash((self.cost, self.value))
 
 
 _set_charged_cost = Charged.cost.__set__

@@ -17,7 +17,7 @@ judges the values its caller passes, in order.  A gated law records
 nothing: every checker returns before reading a value when
 ``rb.check_beh`` is off, so ``Report.cases`` counts judged cases only.
 
-Every case is recorded through ``ReportBuilder.case(ok, law, detail)``.
+A case is recorded through ``ReportBuilder.case(ok, law, detail)``.
 ``detail`` is a zero-argument callable returning the ``(input, expected,
 actual)`` triple of a failure record as raw values; it is called only
 when ``ok`` is false, so a passing case costs no rendering at all.
@@ -26,9 +26,11 @@ already computed, and ``ReportBuilder.bound`` for a cost within its
 budget, judged only when ``rb.check_cost``; it also records the cost's
 row, so a bound and its row are stated once.  ``ReportBuilder.fail`` is
 the one renderer: it renders each field once, so no record is quoted
-twice.  A square's record shows ``(cost, image)`` pairs, the concrete
-cost amortized, when the mode judges cost and the two images alone when
-it does not.
+twice.  The hot checkers, ``commute`` and ``bound``, build no closure:
+a pass hands ``case`` the shared ``tuple``, never read, and a failure
+is recorded through ``fail``, its triple built there.  A square's record
+shows ``(cost, image)`` pairs, the concrete cost amortized, when the
+mode judges cost and the two images alone when it does not.
 """
 
 from __future__ import annotations
@@ -156,7 +158,8 @@ class ReportBuilder:
     ``check_beh``, ``check_cost`` and ``check_concrete`` (audits of
     representations, such as ``validate``) are those gates; ``check_cost``
     implies ``check_beh``.  ``case``, ``equal`` and ``fail`` are the only
-    writers of ``cases`` (``bound`` records through ``case``), and a suite
+    writers of ``cases`` (``bound`` records a pass through ``case`` and
+    a failure through ``fail``), and a suite
     calls them only for a law its mode judges.  Cost rows aggregate per
     size: the table keeps the maximum observed implementation cost and
     bound for each size, sorted by size, so tables stay small no matter
@@ -203,9 +206,16 @@ class ReportBuilder:
         return False
 
     def bound(self, law: str, input_: Any, cost: int, budget: int, size: int) -> None:
-        """When the mode judges cost, one case: ``cost <= budget``; in every mode, ``cost_row(size, cost, budget)``."""
+        """When the mode judges cost, one case: ``cost <= budget``; in every mode, ``cost_row(size, cost, budget)``.
+
+        A pass is ``case(True, law, tuple)`` and a failure ``fail(law,
+        input_, f"<= {budget}", cost)``, so a pass builds no closure.
+        """
         if self.check_cost:
-            self.case(cost <= budget, law, lambda: (input_, f"<= {budget}", cost))
+            if cost <= budget:
+                self.case(True, law, tuple)
+            else:
+                self.fail(law, input_, f"<= {budget}", cost)
         self.cost_row(size, cost, budget)
 
     def fail(self, law: str, input_: Any, expected: Any, actual: Any) -> None:
@@ -270,7 +280,9 @@ def commute(rb: ReportBuilder, square: SquareSpec, x: Any, x_abs: Any) -> Tuple[
     commuting at a second one judges the quotient.  A failure records the
     abstract result and the mapped concrete one as ``(cost, image)`` pairs
     when ``rb.check_cost`` (an amortized cost can be negative, which no
-    ``Cost`` holds) and as bare images otherwise.  Returns both results
+    ``Cost`` holds) and as bare images otherwise.  A pass is recorded as
+    ``rb.case(True, square.law, tuple)`` and a failure through ``rb.fail``,
+    so only a failure builds its record's values.  Returns both results
     and whether the case passed, for a trace step.
     """
     top = square.f_top(x)
@@ -280,9 +292,14 @@ def commute(rb: ReportBuilder, square: SquareSpec, x: Any, x_abs: Any) -> Tuple[
     if rb.check_cost:
         amortized = top.cost.value + square.potential(x, top.value)
         ok = ok and amortized == bottom.cost.value
-    ok = rb.case(bool(ok), square.law, lambda: (
-        (x, (bottom.cost.value, bottom.value), (amortized, mapped)) if rb.check_cost else (x, bottom.value, mapped)))
-    return top, bottom, ok
+    if ok:
+        rb.case(True, square.law, tuple)
+        return top, bottom, True
+    if rb.check_cost:
+        rb.fail(square.law, x, (bottom.cost.value, bottom.value), (amortized, mapped))
+    else:
+        rb.fail(square.law, x, bottom.value, mapped)
+    return top, bottom, False
 
 
 def check_square(rb: ReportBuilder, square: SquareSpec, values: Iterable[Any]) -> None:

@@ -18,7 +18,7 @@ seal can be relaxed to any weaker specification (``reseal``).
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Generic, TypeVar
 
 from .cost import Charged, CostLike, bind, charge, leq, ret
@@ -48,17 +48,20 @@ class BoundViolation(InvariantBreach):
         super().__init__("; ".join(reasons) or "invalid seal")
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True, eq=False, init=False)
 class Sealed(Generic[T]):
     """An implementation/specification pair validated at construction.
 
     Seals compare by their two computations; ``beh_eq`` is how they were
-    checked, not part of what they are.
+    checked, not part of what they are.  Equality and hash are written by
+    hand and match the generated rule for ``beh_eq`` left out of the
+    comparison: ``(impl, spec)`` compared as tuples (``x is y or x == y``
+    per field) with a seal of the same class, without building either tuple.
     """
 
     impl: Charged[T]
     spec: Charged[T]
-    beh_eq: Callable[[T, T], bool] = field(compare=False)
+    beh_eq: Callable[[T, T], bool]
 
     def __init__(
         self,
@@ -75,6 +78,18 @@ class Sealed(Generic[T]):
         _set_beh_eq(self, beh_eq)
 
     __post_init__ = __init__  # perfbench counts constructions by this code object
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        a, b = self.impl, other.impl
+        if not (a is b or a == b):
+            return False
+        a, b = self.spec, other.spec
+        return a is b or bool(a == b)
+
+    def __hash__(self) -> int:
+        return hash((self.impl, self.spec))
 
 
 _set_impl = Sealed.impl.__set__

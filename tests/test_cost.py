@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 import operator
 
 import pytest
 from hypothesis import given, strategies as st
 
-from costglue.cost import MAX_COST, ZERO, Charged, Cost, bind, charge, erase, leq, ret
+from costglue.cost import MAX_COST, ONE, ZERO, Charged, Cost, bind, charge, erase, leq, ret
 
 costs = st.integers(min_value=0, max_value=10**9)
 values = st.integers(min_value=-(10**6), max_value=10**6)
@@ -93,6 +94,49 @@ class TestChargedOracles:
         assert type(m.cost) is Cost and m.cost.value is Units.TWO
         with pytest.raises(TypeError, match="got bool"):
             Charged(True, "a")
+
+
+@dataclasses.dataclass(frozen=True)
+class GeneratedCharged:
+    """``Charged``'s fields under the equality and hash a dataclass generates."""
+
+    cost: Cost
+    value: object
+
+
+class Truthy:
+    """Equal to anything, by a truthy ``__eq__`` result that is not a ``bool``."""
+
+    def __eq__(self, other: object) -> str:
+        return "yes"
+
+    __hash__ = object.__hash__
+
+
+NAN = float("nan")
+TRUTHY = Truthy()
+
+
+class TestChargedEquality:
+    @pytest.mark.parametrize("a, b", [
+        ((Cost(1), 2), (Cost(2), 2)),       # unequal cost
+        ((ONE, 1), (ONE, 2)),               # unequal value
+        ((ONE, NAN), (ONE, NAN)),           # one NaN object: equal by identity
+        ((ONE, NAN), (ONE, float("nan"))),  # two NaN objects: unequal
+        ((Cost(3), "v"), (Cost(3), "v")),   # equal, distinct cost objects
+        ((ONE, TRUTHY), (ONE, Truthy())),   # a non-bool result, read as a bool
+    ], ids=["cost", "value", "nan-same", "nan-distinct", "equal", "truthy"])
+    def test_matches_the_generated_rule(self, a: tuple, b: tuple) -> None:
+        x, y = Charged(*a), Charged(*b)
+        gx, gy = GeneratedCharged(*a), GeneratedCharged(*b)
+        assert (x == y) is (gx == gy) is ((x.cost, x.value) == (y.cost, y.value))
+        assert (x != y) is (gx != gy)
+        assert (hash(x), hash(y)) == (hash(gx), hash(gy))
+
+    def test_other_classes_are_not_implemented(self) -> None:
+        assert Charged.__eq__(Charged(ONE, 1), (ONE, 1)) is NotImplemented
+        assert (Charged(ONE, 1) == (ONE, 1)) is False
+        assert (Charged(ONE, 1) != (ONE, 1)) is True
 
 
 class TestMonadLaws:

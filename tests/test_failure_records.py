@@ -19,6 +19,7 @@ from costglue.rbtree import Node
 from costglue.sealing import Sealed
 
 FULL = EvaluationMode.FULL
+ABSTRACT = EvaluationMode.ABSTRACT
 BEHAVIORAL = EvaluationMode.BEHAVIORAL
 
 
@@ -199,6 +200,18 @@ def test_queue_coherence_rejects_a_dropping_enqueue(monkeypatch, mode) -> None:
     }[mode]
     assert ("(1, BatchedQueueState(inbox=(), outbox=()))", *images) in [
         (f.input, f.expected, f.actual) for f in rep.failures]
+
+
+def test_queue_coherence_abstract_record_of_a_dropping_enqueue(monkeypatch) -> None:
+    # The third judging mode: records as in FULL, pinned as the whole
+    # report, (cases, SHA-1 of the emitted JSON), at seed 0 and 20 iterations.
+    monkeypatch.setattr(suites, "batched_enqueue", dropping_enqueue)
+    rep = suites.REGISTRY["queues/coherence"](0, 20, ABSTRACT)
+    assert {f.law for f in rep.failures} == {"square/enqueue"}
+    assert ("(1, BatchedQueueState(inbox=(), outbox=()))", "(2, (1,))", "(1, ())") == (
+        rep.failures[0].input, rep.failures[0].expected, rep.failures[0].actual)
+    assert (rep.cases, hashlib.sha1(emit_json(rep).encode()).hexdigest()) == (
+        6054, "c88e07fee16f305f18fe3639cabbdfaadf6545f9")
 
 
 def test_queue_coherence_rejects_an_overcharging_dequeue(monkeypatch) -> None:

@@ -280,6 +280,15 @@ class TestDraws:
         assert len(drawn) == 20
 
 
+def noting_cases(monkeypatch) -> list:
+    """Record each ``ReportBuilder.case`` call's ``(law, detail)``, then let it run."""
+    seen = []
+    case = ReportBuilder.case
+    monkeypatch.setattr(ReportBuilder, "case",
+                        lambda self, ok, law, detail: seen.append((law, detail)) or case(self, ok, law, detail))
+    return seen
+
+
 class TestBound:
     @pytest.mark.parametrize("mode, judged", [
         (EvaluationMode.FULL, True),
@@ -325,6 +334,20 @@ class TestBound:
                             lambda self, ok, law, detail: laws.append(law) or case(self, ok, law, detail))
         ReportBuilder("s", 0, 10).bound("law", 0, 1, 2, 0)
         assert laws == ["law"]
+
+    def test_a_pass_hands_case_the_shared_tuple(self, monkeypatch) -> None:
+        seen = noting_cases(monkeypatch)
+        rb = ReportBuilder("s", 0, 10)
+        rb.bound("law", (1, 2), 3, 3, 2)
+        assert seen == [("law", tuple)] and seen[0][1] is tuple
+        assert (rb.cases, rb.failures) == (1, [])
+
+    def test_a_failure_records_through_fail(self, monkeypatch) -> None:
+        seen = noting_cases(monkeypatch)
+        rb = ReportBuilder("s", 0, 10)
+        rb.bound("sorting/isort-bound", (3, 1, 2), 9, 7, 3)
+        assert seen == []
+        assert (rb.cases, rb.failures) == (1, [Failure("(3, 1, 2)", "'<= 7'", "9", "sorting/isort-bound")])
 
 
 def _const_inputs(value):
@@ -418,6 +441,33 @@ class TestCheckSquare:
         rep = rb.build()
         assert rep.cases == 1
         assert rep.failures == (Failure("3", "(1, 8)", "(3, 6)", "square/double"),)
+
+    @pytest.mark.parametrize("mode", [FULL, EvaluationMode.ABSTRACT, EvaluationMode.BEHAVIORAL])
+    def test_a_pass_hands_case_the_shared_tuple(self, monkeypatch, mode: EvaluationMode) -> None:
+        seen = noting_cases(monkeypatch)
+        rb = ReportBuilder("s", 0, 1, mode)
+        assert commute(rb, self._square(1, 1), 3, 3)[2] is True
+        assert seen == [("square/double", tuple)] and seen[0][1] is tuple
+        assert (rb.cases, rb.failures) == (1, [])
+
+    @pytest.mark.parametrize("mode, record", [
+        (FULL, Failure("10", "(0, 9)", "(0, 11)", "square/broken")),
+        (EvaluationMode.ABSTRACT, Failure("10", "(0, 9)", "(0, 11)", "square/broken")),
+        (EvaluationMode.BEHAVIORAL, Failure("10", "9", "11", "square/broken")),
+    ])
+    def test_a_failure_records_through_fail(self, monkeypatch, mode: EvaluationMode, record: Failure) -> None:
+        seen = noting_cases(monkeypatch)
+        square = SquareSpec(
+            law="square/broken",
+            f_top=lambda x: ret(x + 1),
+            f_abs=lambda x: ret(x - 1),
+            alpha_in=IDENTITY,
+            alpha_out=IDENTITY,
+        )
+        rb = ReportBuilder("s", 0, 1, mode)
+        assert commute(rb, square, 10, 10)[2] is False
+        assert seen == []
+        assert (rb.cases, rb.failures) == (1, [record])
 
 
 class TestCheckNoninterference:

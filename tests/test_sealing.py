@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import dataclasses
+import operator
+
 import pytest
 from hypothesis import given, strategies as st
 
-from costglue.cost import Charged, Cost, charge, leq, ret
+from costglue.cost import ONE, Charged, Cost, charge, leq, ret
 from costglue.sealing import (
     BoundViolation,
     Sealed,
@@ -175,6 +178,18 @@ class TestSealedBehEq:
         assert not eq(a, c)
 
 
+@dataclasses.dataclass(frozen=True)
+class GeneratedSealed:
+    """``Sealed``'s fields under the equality and hash a dataclass generates."""
+
+    impl: Charged
+    spec: Charged
+    beh_eq: object = dataclasses.field(compare=False)
+
+
+NAN = float("nan")
+
+
 class TestSealedEquality:
     def test_ignores_the_behavioral_equality(self) -> None:
         inner = seal_return("v")
@@ -186,3 +201,23 @@ class TestSealedEquality:
 
     def test_repr_still_shows_it(self) -> None:
         assert "beh_eq=" in repr(seal_return(1))
+
+    @pytest.mark.parametrize("a, b", [
+        ((Charged(1, 2), Charged(3, 2), operator.eq), (Charged(2, 2), Charged(3, 2), operator.eq)),
+        ((Charged(1, 2), Charged(3, 2), operator.eq), (Charged(1, 2), Charged(4, 2), operator.eq)),
+        ((Charged(ONE, NAN), Charged(ONE, NAN), operator.is_),
+         (Charged(ONE, NAN), Charged(ONE, NAN), operator.is_)),
+        ((Charged(1, 2), Charged(3, 2), operator.eq), (Charged(1, 2), Charged(3, 2), lambda u, v: True)),
+    ], ids=["impl", "spec", "nan-same", "beh_eq-only"])
+    def test_matches_the_generated_rule(self, a: tuple, b: tuple) -> None:
+        x, y = Sealed(*a), Sealed(*b)
+        gx, gy = GeneratedSealed(*a), GeneratedSealed(*b)
+        assert (x == y) is (gx == gy) is ((x.impl, x.spec) == (y.impl, y.spec))
+        assert (x != y) is (gx != gy)
+        assert (hash(x), hash(y)) == (hash(gx), hash(gy))
+
+    def test_other_classes_are_not_implemented(self) -> None:
+        s = seal_return(1)
+        assert Sealed.__eq__(s, (s.impl, s.spec)) is NotImplemented
+        assert (s == (s.impl, s.spec)) is False
+        assert (s != (s.impl, s.spec)) is True
