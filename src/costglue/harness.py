@@ -28,7 +28,9 @@ row, so a bound and its row are stated once.  ``ReportBuilder.fail`` is
 the one renderer: it renders each field once, so no record is quoted
 twice.  The hot checkers, ``commute`` and ``bound``, build no closure:
 a pass hands ``case`` the shared ``tuple``, never read, and a failure
-is recorded through ``fail``, its triple built there.  A square's record
+is recorded through ``fail``, its triple built there.  ``commute`` runs
+a square's abstract path once for all the representatives it is given,
+so one call judges the square and the quotient.  A square's record
 shows ``(cost, image)`` pairs, the concrete cost amortized, when the
 mode judges cost and the two images alone when it does not.
 """
@@ -271,46 +273,53 @@ class SquareSpec:
     potential: Callable[[Any, Any], int] = lambda x, out: 0
 
 
-def commute(rb: ReportBuilder, square: SquareSpec, x: Any, x_abs: Any) -> Tuple[Charged[Any], Charged[Any], bool]:
-    """Check that ``square`` commutes at ``x``, whose image is ``x_abs``: one case.
+def commute(rb: ReportBuilder, square: SquareSpec, xs: Sequence[Any],
+            x_abs: Any) -> Tuple[Charged[Any], Charged[Any], bool]:
+    """Check that ``square`` commutes at each of ``xs``, representatives of the image ``x_abs``.
 
-    Callers call it only when ``rb.check_beh``.  Behavior must agree under
-    ``alpha_out``, and the amortized cost the abstract cost when
-    ``rb.check_cost``.  ``x`` may be any representative of ``x_abs``, so
-    commuting at a second one judges the quotient.  A failure records the
-    abstract result and the mapped concrete one as ``(cost, image)`` pairs
-    when ``rb.check_cost`` (an amortized cost can be negative, which no
-    ``Cost`` holds) and as bare images otherwise.  A pass is recorded as
-    ``rb.case(True, square.law, tuple)`` and a failure through ``rb.fail``,
-    so only a failure builds its record's values.  Returns both results
-    and whether the case passed, for a trace step.
+    Called only when ``rb.check_beh``.  ``f_abs`` runs once, and each
+    representative, in order, is one case against its result: behavior
+    must agree under ``alpha_out``, and the amortized cost the abstract
+    cost when ``rb.check_cost``; a square that commutes at every
+    representative respects the quotient.  The first failure ends the
+    check and records its representative as the input, with the abstract
+    result and the mapped concrete one as ``(cost, image)`` pairs when
+    ``rb.check_cost`` (an amortized cost can be negative, which no
+    ``Cost`` holds) and as bare images otherwise.  A pass is
+    ``rb.case(True, square.law, tuple)``, so only a failure builds its
+    record's values.  Returns the concrete result at ``xs[0]``, the
+    abstract result and the verdict, for a trace step.
     """
-    top = square.f_top(x)
     bottom = square.f_abs(x_abs)
-    mapped = square.alpha_out.apply(top.value)
-    ok = square.alpha_out.abs_eq(mapped, bottom.value)
-    if rb.check_cost:
-        amortized = top.cost.value + square.potential(x, top.value)
-        ok = ok and amortized == bottom.cost.value
-    if ok:
+    first = None
+    for x in xs:
+        top = square.f_top(x)
+        if first is None:
+            first = top
+        mapped = square.alpha_out.apply(top.value)
+        ok = square.alpha_out.abs_eq(mapped, bottom.value)
+        if rb.check_cost:
+            amortized = top.cost.value + square.potential(x, top.value)
+            ok = ok and amortized == bottom.cost.value
+        if not ok:
+            if rb.check_cost:
+                rb.fail(square.law, x, (bottom.cost.value, bottom.value), (amortized, mapped))
+            else:
+                rb.fail(square.law, x, bottom.value, mapped)
+            return first, bottom, False
         rb.case(True, square.law, tuple)
-        return top, bottom, True
-    if rb.check_cost:
-        rb.fail(square.law, x, (bottom.cost.value, bottom.value), (amortized, mapped))
-    else:
-        rb.fail(square.law, x, bottom.value, mapped)
-    return top, bottom, False
+    return first, bottom, True
 
 
 def check_square(rb: ReportBuilder, square: SquareSpec, values: Iterable[Any]) -> None:
-    """Check that the square commutes at each of ``values`` (``commute``), each imaged once.
+    """Check that the square commutes at each of ``values``, each imaged once: ``commute(rb, square, (x,), image)``.
 
     Outputs are behavior, so no value is read unless ``rb.check_beh``.
     """
     if not rb.check_beh:
         return
     for x in values:
-        commute(rb, square, x, square.alpha_in.apply(x))
+        commute(rb, square, (x,), square.alpha_in.apply(x))
 
 
 # -- noninterference -------------------------------------------------------

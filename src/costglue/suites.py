@@ -19,7 +19,7 @@ import dataclasses
 import functools
 import itertools
 import random
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Sequence, Tuple
 
 from . import rbtree
 from .cost import ONE, Charged, Cost, MonoidOps, bind, charge, erase, leq, ret
@@ -354,38 +354,29 @@ DEQUEUE_SQUARE = SquareSpec(
 )
 
 
-def _run_coherence_trace(
-    rb: ReportBuilder,
-    ops: Sequence[Tuple[str, Tuple[Any, ...]]],
-    quotient_rng: Optional[random.Random] = None,
-) -> None:
-    """Step a trace through both queues in lockstep, commuting each step's square.
+def _run_coherence_trace(rb: ReportBuilder, ops: Sequence[Tuple[str, Tuple[Any, ...]]],
+                         rng: random.Random) -> None:
+    """Step a trace through both queues in lockstep, one list step per trace step.
 
-    Each step's square takes the list queue's state as the image of the
-    batched one, which it is while the squares hold; the walk ends at the
-    first case that fails, where the two states may have parted.  With
-    ``quotient_rng`` every step also commutes both squares at ``alt``, a
-    second batched state with the same image: the operations respect the
-    quotient, on behavior and on amortized cost.
+    Before each step one draw from ``rng`` cuts the list state into
+    ``alt``, a second batched state with its image, and the step's square
+    commutes at ``bat`` and at ``alt`` against that one list step: the
+    operations respect the quotient, on behavior and on amortized cost.
+    The list state is the image of ``bat`` while the squares hold; the
+    walk goes on from ``bat``'s result and ends at its first failure.
     """
     bat, lst = batched_empty(), list_empty()
     for op, args in ops:
+        cut = randbelow(rng, len(lst) + 1)
+        alt = BatchedQueueState(lst[cut:][::-1], lst[:cut])
         if op == "enqueue":
-            top, bottom, ok = commute(rb, ENQUEUE_SQUARE, (args[0], bat), (args[0], lst))
+            top, bottom, ok = commute(rb, ENQUEUE_SQUARE, ((args[0], bat), (args[0], alt)), (args[0], lst))
             bat, lst = top.value, bottom.value
         else:
-            top, bottom, ok = commute(rb, DEQUEUE_SQUARE, bat, lst)
+            top, bottom, ok = commute(rb, DEQUEUE_SQUARE, (bat, alt), lst)
             bat, lst = top.value[1], bottom.value[1]
         if not ok:
             return
-
-        if quotient_rng is not None:
-            cut = randbelow(quotient_rng, len(lst) + 1)
-            alt = BatchedQueueState(lst[cut:][::-1], lst[:cut])
-            probe_e = randbelow(quotient_rng, 100)
-            if not (commute(rb, ENQUEUE_SQUARE, (probe_e, alt), (probe_e, lst))[2]
-                    and commute(rb, DEQUEUE_SQUARE, alt, lst)[2]):
-                return
 
 
 def exhaustive_traces(max_len: int, alphabet: Sequence[Any]) -> List[Tuple[Tuple[str, Tuple[Any, ...]], ...]]:
@@ -414,13 +405,13 @@ def queues_coherence(rb: ReportBuilder) -> None:
 
     Runs the enqueue and dequeue squares on random states, then walks
     every trace of length at most 6 over a two-element alphabet plus
-    ``iterations`` random traces of length at most 200, checking squares
-    stepwise, and on the random traces also at a second representative
-    of each step's state (quotient soundness).  Each square is exact on
-    cost once ``batched_potential`` amortizes the batched cost, so summed
-    over a trace the squares bound the reversal work by the enqueues: it
-    is the enqueues less the final potential.  Every law compares
-    behavior, so a CONCRETE run records nothing.
+    ``iterations`` random traces of length at most 200, all from one
+    ``/traces`` stream, commuting each step's square at the batched state
+    and at a second representative of its image (quotient soundness).
+    Each square is exact on cost once ``batched_potential`` amortizes the
+    batched cost, so summed over a trace the squares bound the reversal
+    work by the enqueues: it is the enqueues less the final potential.
+    Every law compares behavior, so a CONCRETE run records nothing.
     """
     if not rb.check_beh:
         return
@@ -430,13 +421,11 @@ def queues_coherence(rb: ReportBuilder) -> None:
     check_square(rb, ENQUEUE_SQUARE, pairs)
     check_square(rb, DEQUEUE_SQUARE, rb.draws("/dequeue", _random_batched_state, rb.iterations))
 
-    for trace in exhaustive_traces(6, (0, 1)):
-        _run_coherence_trace(rb, trace)
-
     trace_rng = rb.rng("/traces")
+    for trace in exhaustive_traces(6, (0, 1)):
+        _run_coherence_trace(rb, trace, trace_rng)
     for _ in range(rb.iterations):
-        trace = random_trace(trace_rng)
-        _run_coherence_trace(rb, trace, quotient_rng=trace_rng)
+        _run_coherence_trace(rb, random_trace(trace_rng), trace_rng)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import json
 import math
@@ -437,7 +438,7 @@ class TestCheckSquare:
         rb = ReportBuilder("s", 0, 1)
         # The abstract input comes from the caller, so the abstract path runs on 4.
         square = self._square(2, 1, potential=lambda x, out: 1)
-        assert commute(rb, square, 3, 4) == (Charged(Cost(2), 6), Charged(Cost(1), 8), False)
+        assert commute(rb, square, (3,), 4) == (Charged(Cost(2), 6), Charged(Cost(1), 8), False)
         rep = rb.build()
         assert rep.cases == 1
         assert rep.failures == (Failure("3", "(1, 8)", "(3, 6)", "square/double"),)
@@ -446,9 +447,24 @@ class TestCheckSquare:
     def test_a_pass_hands_case_the_shared_tuple(self, monkeypatch, mode: EvaluationMode) -> None:
         seen = noting_cases(monkeypatch)
         rb = ReportBuilder("s", 0, 1, mode)
-        assert commute(rb, self._square(1, 1), 3, 3)[2] is True
-        assert seen == [("square/double", tuple)] and seen[0][1] is tuple
-        assert (rb.cases, rb.failures) == (1, [])
+        assert commute(rb, self._square(1, 1), (3, 3), 3)[2] is True
+        assert seen == [("square/double", tuple)] * 2 and all(detail is tuple for _, detail in seen)
+        assert (rb.cases, rb.failures) == (2, [])
+
+    def test_two_representatives_are_two_cases_against_one_abstract_path(self) -> None:
+        calls = []
+        square = dataclasses.replace(self._square(1, 1), f_abs=lambda x: calls.append(x) or charge(1, ret(x * 2)))
+        rb = ReportBuilder("s", 0, 1)
+        assert commute(rb, square, (3, 3), 3) == (Charged(Cost(1), 6), Charged(Cost(1), 6), True)
+        assert calls == [3]
+        assert (rb.cases, rb.failures) == (2, [])
+
+    def test_a_failure_at_the_second_representative_records_it(self) -> None:
+        rb = ReportBuilder("s", 0, 1)
+        # 4 is no representative of 3 here, so the square fails there and the
+        # check stops before the third; the concrete result returned is 3's.
+        assert commute(rb, self._square(1, 1), (3, 4, 3), 3) == (Charged(Cost(1), 6), Charged(Cost(1), 6), False)
+        assert (rb.cases, rb.failures) == (2, [Failure("4", "(1, 6)", "(1, 8)", "square/double")])
 
     @pytest.mark.parametrize("mode, record", [
         (FULL, Failure("10", "(0, 9)", "(0, 11)", "square/broken")),
@@ -465,7 +481,7 @@ class TestCheckSquare:
             alpha_out=IDENTITY,
         )
         rb = ReportBuilder("s", 0, 1, mode)
-        assert commute(rb, square, 10, 10)[2] is False
+        assert commute(rb, square, (10,), 10)[2] is False
         assert seen == []
         assert (rb.cases, rb.failures) == (1, [record])
 

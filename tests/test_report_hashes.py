@@ -34,9 +34,9 @@ PINNED = {
         "concrete": "eea3c53359ca45014a079ea1f5c99d86baaef94f",
     },
     "queues/coherence": {
-        "full": "9717d4489fcff0aff316a8ca66aebbb72aa8126f",
-        "abstract": "37de702ded0dcf7a7007927654715dd560ba7caa",
-        "behavioral": "0269ff4551fa702e650808bb4b1e84bde9b7b953",
+        "full": "85dcad78c40ff33798bb0c87d6c5fd67d288ec00",
+        "abstract": "082f11f4e21938a74ae73529af347da0219c89d4",
+        "behavioral": "e573892ccc14ae8707669c99e9c495e79f478502",
         "concrete": "4cbeab9e9e209bb506e8ff1e7ce4570e38d92328",
     },
     "queues/noninterference": {

@@ -5,6 +5,7 @@ from __future__ import annotations
 import ast
 import cProfile
 import dataclasses
+import json
 import pstats
 import tracemalloc
 from pathlib import Path
@@ -238,6 +239,23 @@ DIFFERENTIAL_SUITES = [
     "rbtree/universal",
     "sorting/bounds",
 ]
+LAW_SUITES = sorted(set(ALL_SUITES) - set(DIFFERENTIAL_SUITES))
+
+
+@pytest.mark.parametrize("name", LAW_SUITES)
+def test_law_suites_read_the_mode_as_metadata_only(name: str) -> None:
+    # These suites check module invariants that hold in every phase, so a
+    # report differs across modes in its ``mode`` field alone;
+    # ``phase/roundtrip`` images its states in every mode, by design.
+    def without_mode(mode: EvaluationMode) -> dict:
+        report = json.loads(emit_json(REGISTRY[name](seed=0, iterations=40, mode=mode)))
+        assert report.pop("mode") == mode.value
+        return report
+
+    assert LAW_SUITES == ["cost/laws", "phase/roundtrip", "sealing/laws"]
+    full = without_mode(EvaluationMode.FULL)
+    assert full["cases"] > 0
+    assert all(without_mode(mode) == full for mode in ALL_MODES)
 
 
 def _charging(name: str, delta: int):
@@ -571,17 +589,22 @@ def test_concrete_mode_counts_no_unjudged_case(name: str) -> None:
 
 @pytest.mark.parametrize("mode", [EvaluationMode.FULL, EvaluationMode.BEHAVIORAL])
 def test_queue_walk_commutes_each_step_at_two_representatives(mode: EvaluationMode) -> None:
-    # A step's square at the batched state, then with ``quotient_rng`` both
-    # squares at a second state of the same image.
-    traces = [suites.random_trace(derive_rng(0, f"walk/{i}"), max_len=60) for i in range(10)]
-    steps = sum(map(len, traces))
-    assert {op for t in traces for op, _ in t} == {"enqueue", "dequeue"}
-    for quotient_rng, per_step in ((None, 1), (derive_rng(0, "walk"), 3)):
-        rb = ReportBuilder("walk", 0, 0, mode)
-        for trace in traces:
-            suites._run_coherence_trace(rb, trace, quotient_rng=quotient_rng)
+    # Each step's square commutes at the batched state and at a second
+    # representative of its image, against one step of the list queue.
+    exhaustive = suites.exhaustive_traces(4, (0, 1))
+    random_traces = [suites.random_trace(derive_rng(0, f"walk/{i}"), max_len=60) for i in range(10)]
+    for traces in (exhaustive, random_traces):
+        steps = sum(map(len, traces))
+        assert {op for t in traces for op, _ in t} == {"enqueue", "dequeue"}
+        rb, rng = ReportBuilder("walk", 0, 0, mode), derive_rng(0, "walk")
+
+        def walk() -> None:
+            for trace in traces:
+                suites._run_coherence_trace(rb, trace, rng)
+
+        assert sum(_calls(walk, queues.list_enqueue, queues.list_dequeue)) == steps
         rep = rb.build()
-        assert rep.passed and rep.cases == per_step * steps
+        assert rep.passed and rep.cases == 2 * steps
 
 
 def test_concrete_queue_coherence_runs_no_abstraction() -> None:
