@@ -28,9 +28,10 @@ row, so a bound and its row are stated once.  ``ReportBuilder.fail`` is
 the one renderer: it renders each field once, so no record is quoted
 twice.  The hot checkers, ``commute`` and ``bound``, build no closure:
 a pass hands ``case`` the shared ``tuple``, never read, and a failure
-is recorded through ``fail``, its triple built there.  ``commute`` runs
-a square's abstract path once for all the representatives it is given,
-so one call judges the square and the quotient.  A square's record
+is recorded through ``fail``, its triple built there.  ``commute`` judges
+a square at representatives of an image its caller made, running the
+abstract path once for all of them, so one call judges the square and
+the quotient.  A square's record
 shows ``(cost, image)`` pairs, the concrete cost amortized, when the
 mode judges cost and the two images alone when it does not.
 """
@@ -258,8 +259,8 @@ class ReportBuilder:
 class SquareSpec:
     """One operation stated twice, on representations and on models; ``law`` names its cases.
 
-    ``f_top`` acts on concrete inputs, ``f_abs`` on their images under
-    ``alpha_in``; outputs are compared under ``alpha_out``.  The concrete
+    ``f_top`` acts on concrete inputs, ``f_abs`` on their image, which the
+    caller makes; outputs are compared under ``alpha_out``.  The concrete
     cost plus ``potential(x, out)``, the change Phi(out) - Phi(x) from input
     ``x`` to concrete output ``out``, is the amortized cost, and it must
     equal the abstract cost.  The default potential is zero: a strict square.
@@ -268,7 +269,6 @@ class SquareSpec:
     law: str
     f_top: Callable[[Any], Charged[Any]]
     f_abs: Callable[[Any], Charged[Any]]
-    alpha_in: AbstractionFn
     alpha_out: AbstractionFn
     potential: Callable[[Any, Any], int] = lambda x, out: 0
 
@@ -288,7 +288,7 @@ def commute(rb: ReportBuilder, square: SquareSpec, xs: Sequence[Any],
     ``Cost`` holds) and as bare images otherwise.  A pass is
     ``rb.case(True, square.law, tuple)``, so only a failure builds its
     record's values.  Returns the concrete result at ``xs[0]``, the
-    abstract result and the verdict, for a trace step.
+    abstract result and the verdict, so a walk can take its next step.
     """
     bottom = square.f_abs(x_abs)
     first = None
@@ -309,17 +309,6 @@ def commute(rb: ReportBuilder, square: SquareSpec, xs: Sequence[Any],
             return first, bottom, False
         rb.case(True, square.law, tuple)
     return first, bottom, True
-
-
-def check_square(rb: ReportBuilder, square: SquareSpec, values: Iterable[Any]) -> None:
-    """Check that the square commutes at each of ``values``, each imaged once: ``commute(rb, square, (x,), image)``.
-
-    Outputs are behavior, so no value is read unless ``rb.check_beh``.
-    """
-    if not rb.check_beh:
-        return
-    for x in values:
-        commute(rb, square, (x,), square.alpha_in.apply(x))
 
 
 # -- noninterference -------------------------------------------------------

@@ -30,7 +30,6 @@ from .harness import (
     check_abstract_hom,
     check_abstract_monoid,
     check_noninterference,
-    check_square,
     check_universal_property,
     commute,
     geometric_size,
@@ -339,7 +338,6 @@ ENQUEUE_SQUARE = SquareSpec(
     law="square/enqueue",
     f_top=lambda p: batched_enqueue(p[0], p[1]),
     f_abs=lambda p: list_enqueue(p[0], p[1]),
-    alpha_in=AbstractionFn(apply=lambda p: (p[0], rev_append(p[1]))),
     alpha_out=BATCHED_ALPHA,
     potential=lambda p, out: batched_potential(out) - batched_potential(p[1]),
 )
@@ -348,32 +346,37 @@ DEQUEUE_SQUARE = SquareSpec(
     law="square/dequeue",
     f_top=lambda s: batched_dequeue(s),
     f_abs=lambda s: list_dequeue(s),
-    alpha_in=BATCHED_ALPHA,
     alpha_out=AbstractionFn(apply=lambda out: (out[0], rev_append(out[1]))),
     potential=lambda s, out: batched_potential(out[1]) - batched_potential(s),
 )
 
 
-def _run_coherence_trace(rb: ReportBuilder, ops: Sequence[Tuple[str, Tuple[Any, ...]]],
-                         rng: random.Random) -> None:
-    """Step a trace through both queues in lockstep, one list step per trace step.
+def _run_coherence_trace(rb: ReportBuilder, bat: BatchedQueueState,
+                         ops: Sequence[Tuple[str, Tuple[Any, ...]]], rng: random.Random) -> None:
+    """Step a trace through both queues in lockstep from ``bat`` and its image, one list step per trace step.
 
-    Before each step one draw from ``rng`` cuts the list state into
-    ``alt``, a second batched state with its image, and the step's square
-    commutes at ``bat`` and at ``alt`` against that one list step: the
-    operations respect the quotient, on behavior and on amortized cost.
-    The list state is the image of ``bat`` while the squares hold; the
-    walk goes on from ``bat``'s result and ends at its first failure.
+    Before each step at a nonempty list one draw from ``rng`` cuts the
+    list state into ``alt``, a batched state other than ``bat`` with the
+    same image, and the step's square commutes at ``bat`` and at ``alt``
+    against that one list step: the operations respect the quotient, on
+    behavior and on amortized cost.  At the empty list ``bat`` is judged
+    alone.  The list state is the image of ``bat`` while the squares
+    hold; the walk goes on from ``bat``'s result and ends at its first failure.
     """
-    bat, lst = batched_empty(), list_empty()
+    lst = rev_append(bat)
     for op, args in ops:
-        cut = randbelow(rng, len(lst) + 1)
-        alt = BatchedQueueState(lst[cut:][::-1], lst[:cut])
+        alt = None
+        if lst:
+            cut = randbelow(rng, len(lst))
+            cut += cut >= len(bat.outbox)  # skip ``bat``'s own cut
+            alt = BatchedQueueState(lst[cut:][::-1], lst[:cut])
         if op == "enqueue":
-            top, bottom, ok = commute(rb, ENQUEUE_SQUARE, ((args[0], bat), (args[0], alt)), (args[0], lst))
+            e = args[0]
+            xs = ((e, bat),) if alt is None else ((e, bat), (e, alt))
+            top, bottom, ok = commute(rb, ENQUEUE_SQUARE, xs, (e, lst))
             bat, lst = top.value, bottom.value
         else:
-            top, bottom, ok = commute(rb, DEQUEUE_SQUARE, (bat, alt), lst)
+            top, bottom, ok = commute(rb, DEQUEUE_SQUARE, (bat,) if alt is None else (bat, alt), lst)
             bat, lst = top.value[1], bottom.value[1]
         if not ok:
             return
@@ -403,12 +406,15 @@ def random_trace(rng: random.Random, max_len: int = 200) -> Tuple[Tuple[str, Tup
 def queues_coherence(rb: ReportBuilder) -> None:
     """Squares for every queue operation, exhaustively on short traces.
 
-    Runs the enqueue and dequeue squares on random states, then walks
-    every trace of length at most 6 over a two-element alphabet plus
-    ``iterations`` random traces of length at most 200, all from one
-    ``/traces`` stream, commuting each step's square at the batched state
-    and at a second representative of its image (quotient soundness).
-    Each square is exact on cost once ``batched_potential`` amortizes the
+    Every square is judged by a walk, which images its start state once.
+    The enqueue and dequeue squares are first judged at ``iterations``
+    random states each, every one a one-step walk from that state; then
+    every trace of length at most 6 over a two-element alphabet and
+    ``iterations`` random traces of length at most 200, all drawn from
+    one ``/traces`` stream, are walked from the empty queue.  Each step
+    commutes its square at the batched state and, at a nonempty list, at
+    a second representative of its image (quotient soundness).  Each
+    square is exact on cost once ``batched_potential`` amortizes the
     batched cost, so summed over a trace the squares bound the reversal
     work by the enqueues: it is the enqueues less the final potential.
     Every law compares behavior, so a CONCRETE run records nothing.
@@ -417,15 +423,17 @@ def queues_coherence(rb: ReportBuilder) -> None:
         return
     rb.equal("queues/empty-square", batched_empty(), list_empty(), rev_append(batched_empty()))
 
-    pairs = rb.draws("/enqueue", lambda r: (randbelow(r, 100), _random_batched_state(r)), rb.iterations)
-    check_square(rb, ENQUEUE_SQUARE, pairs)
-    check_square(rb, DEQUEUE_SQUARE, rb.draws("/dequeue", _random_batched_state, rb.iterations))
+    for stream in ("/enqueue", "/dequeue"):
+        rng = rb.rng(stream)
+        for _ in range(rb.iterations):
+            step = ("enqueue", (randbelow(rng, 100),)) if stream == "/enqueue" else ("dequeue", ())
+            _run_coherence_trace(rb, _random_batched_state(rng), (step,), rng)
 
     trace_rng = rb.rng("/traces")
     for trace in exhaustive_traces(6, (0, 1)):
-        _run_coherence_trace(rb, trace, trace_rng)
+        _run_coherence_trace(rb, batched_empty(), trace, trace_rng)
     for _ in range(rb.iterations):
-        _run_coherence_trace(rb, random_trace(trace_rng), trace_rng)
+        _run_coherence_trace(rb, batched_empty(), random_trace(trace_rng), trace_rng)
 
 
 # ---------------------------------------------------------------------------
@@ -546,7 +554,7 @@ def rbtree_invariants(rb: ReportBuilder) -> None:
             ("elements", lambda t: elements(t)),
             ("length", lambda t: length_fast(t)),
             ("mapreduce-sum", lambda t: mapreduce(t, SUM_OPS).value),
-            ("reduce-max", lambda t: reduce(lambda x, y: Charged(ONE, max(x, y)), 0, t).value),
+            ("reduce-max", lambda t: reduce(MAX_OPS.append, 0, t).value),
         )
         for _ in range(samples):
             items = random_items(probe_rng, 100, 1 + geometric_size(probe_rng, cap=64))
@@ -594,16 +602,13 @@ def rbtree_reduce(rb: ReportBuilder) -> None:
     """
     pool = _TreePool(rb.rng(), cap=1024, grows=rb.iterations)
 
-    def plus(x: int, y: int) -> Charged[int]:
-        return Charged(ONE, x + y)
-
     def first(x: Any, y: Any) -> Charged[Any]:
         return Charged(ONE, x)
 
     for t in pool.pool:
         if t.size == 0:
             continue
-        out = reduce(plus, 0, t)
+        out = reduce(SUM_OPS.append, 0, t)
         if rb.check_beh:
             items = elements(t)
             rb.equal("rbtree/reduce-value", items, sum(items), out.value)
@@ -617,7 +622,7 @@ def rbtree_reduce(rb: ReportBuilder) -> None:
         rb.cost_row(t.size, out.cost.value, 2 * t.size)
 
     if rb.check_beh:
-        unit_case = reduce(plus, 0, EMPTY)
+        unit_case = reduce(SUM_OPS.append, 0, EMPTY)
         rb.case(
             unit_case.value == 0 and (unit_case.cost.value <= 1 if rb.check_cost else True),
             "rbtree/reduce-empty",

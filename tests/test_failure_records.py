@@ -211,7 +211,7 @@ def test_queue_coherence_abstract_record_of_a_dropping_enqueue(monkeypatch) -> N
     assert ("(1, BatchedQueueState(inbox=(), outbox=()))", "(2, (1,))", "(1, ())") == (
         rep.failures[0].input, rep.failures[0].expected, rep.failures[0].actual)
     assert (rep.cases, hashlib.sha1(emit_json(rep).encode()).hexdigest()) == (
-        7468, "54c303b0d4e63ddcdae1c5819a462ee73b7ab344")
+        6002, "ac146a09ab85d0103f0054b654b1213de3e311ea")
 
 
 def test_queue_coherence_rejects_an_overcharging_dequeue(monkeypatch) -> None:

@@ -10,7 +10,7 @@ import random
 
 import pytest
 
-from costglue import harness
+from costglue import harness, suites
 from costglue.cost import Charged, Cost, MonoidOps, charge, ret
 from costglue.harness import (
     Failure,
@@ -19,7 +19,6 @@ from costglue.harness import (
     check_abstract_hom,
     check_abstract_monoid,
     check_noninterference,
-    check_square,
     check_universal_property,
     commute,
     derive_rng,
@@ -351,31 +350,41 @@ class TestBound:
         assert (rb.cases, rb.failures) == (1, [Failure("(3, 1, 2)", "'<= 7'", "9", "sorting/isort-bound")])
 
 
-def _const_inputs(value):
-    return lambda rng: value
-
-
 class TestCheckSquare:
+    """Squares judged by ``commute`` at representatives of a caller's image."""
+
     def _square(self, top_charge: int, abs_charge: int, **potential) -> SquareSpec:
         return SquareSpec(
             law="square/double",
             f_top=lambda x: charge(top_charge, ret(x * 2)),
             f_abs=lambda x: charge(abs_charge, ret(x * 2)),
-            alpha_in=IDENTITY,
             alpha_out=IDENTITY,
             **potential,
         )
 
+    @staticmethod
+    def _judge(square: SquareSpec, xs, x_abs, mode: EvaluationMode = FULL):
+        """The report of one ``commute`` call into a fresh builder."""
+        rb = ReportBuilder("s", 0, 1, mode)
+        commute(rb, square, xs, x_abs)
+        return rb.build()
+
+    _BROKEN = SquareSpec(
+        law="square/broken",
+        f_top=lambda x: ret(x + 1),
+        f_abs=lambda x: ret(x - 1),
+        alpha_out=IDENTITY,
+    )
+
     def test_commuting_square_passes(self) -> None:
-        rep = sweep(check_square, self._square(1, 1), _const_inputs(3), 5)
+        rep = self._judge(self._square(1, 1), (3,) * 5, 3)
         assert rep.passed
         assert rep.cases == 5
 
     def test_strict_square_sees_cost_mismatch(self) -> None:
         for top_charge in (0, 2):
-            rep = sweep(check_square, self._square(top_charge, 1), _const_inputs(3), 4)
-            assert not rep.passed
-            assert {f.law for f in rep.failures} == {"square/double"}
+            rep = self._judge(self._square(top_charge, 1), (3,), 3)
+            assert rep.failures == (Failure("3", "(1, 6)", f"({top_charge}, 6)", "square/double"),)
 
     @staticmethod
     def _rise(x: int, out: int) -> int:
@@ -383,56 +392,40 @@ class TestCheckSquare:
         return out - x
 
     def test_potential_amortizes_the_concrete_cost(self) -> None:
-        rep = sweep(check_square, self._square(2, 5, potential=self._rise), _const_inputs(3), 4)
-        assert rep.passed  # 2 + 3 == 5
+        rep = self._judge(self._square(2, 5, potential=self._rise), (3,) * 4, 3)
+        assert rep.passed and rep.cases == 4  # 2 + 3 == 5
 
     def test_potential_square_fails_one_unit_under_and_over(self) -> None:
         for top_charge in (1, 3):
-            square = self._square(top_charge, 5, potential=self._rise)
-            rep = sweep(check_square, square, _const_inputs(3), 4)
-            assert rep.cases == len(rep.failures) == 4
+            rep = self._judge(self._square(top_charge, 5, potential=self._rise), (3,), 3)
+            assert rep.cases == len(rep.failures) == 1
             assert rep.failures[0] == Failure("3", "(5, 6)", f"({top_charge + 3}, 6)", "square/double")
 
     def test_amortized_cost_below_zero_fails_without_raising(self) -> None:
         square = self._square(0, 0, potential=lambda x, out: -out)
-        rep = sweep(check_square, square, _const_inputs(3), 2)
-        assert rep.failures[0] == Failure("3", "(0, 6)", "(-6, 6)", "square/double")
+        rep = self._judge(square, (3,), 3)
+        assert rep.failures == (Failure("3", "(0, 6)", "(-6, 6)", "square/double"),)
 
     def test_behavior_mismatch_is_caught(self) -> None:
-        square = SquareSpec(
-            law="square/broken",
-            f_top=lambda x: ret(x + 1),
-            f_abs=lambda x: ret(x - 1),
-            alpha_in=IDENTITY,
-            alpha_out=IDENTITY,
-        )
-        rep = sweep(check_square, square, _const_inputs(10), 3)
-        assert not rep.passed
-        assert (rep.failures[0].expected, rep.failures[0].actual) == ("(0, 9)", "(0, 11)")
+        rep = self._judge(self._BROKEN, (10,), 10)
+        assert rep.failures == (Failure("10", "(0, 9)", "(0, 11)", "square/broken"),)
         # Where cost is out of view, the record shows the images alone.
-        behavioral = sweep(check_square, square, _const_inputs(10), 3, mode=EvaluationMode.BEHAVIORAL)
-        assert behavioral.failures[0] == Failure("10", "9", "11", "square/broken")
+        behavioral = self._judge(self._BROKEN, (10,), 10, mode=EvaluationMode.BEHAVIORAL)
+        assert behavioral.failures == (Failure("10", "9", "11", "square/broken"),)
 
     def test_behavioral_mode_ignores_cost(self) -> None:
-        rep = sweep(check_square, self._square(0, 1), _const_inputs(3), 4, mode=EvaluationMode.BEHAVIORAL)
-        assert rep.passed
+        rep = self._judge(self._square(0, 1), (3,) * 4, 3, mode=EvaluationMode.BEHAVIORAL)
+        assert rep.passed and rep.cases == 4
 
-    def test_concrete_mode_checks_nothing(self) -> None:
-        square = SquareSpec(
-            law="square/broken",
-            f_top=lambda x: ret(x + 1),
-            f_abs=lambda x: ret(x - 1),
-            alpha_in=IDENTITY,
-            alpha_out=IDENTITY,
-        )
-
-        def unread():
+    def test_concrete_mode_checks_nothing(self, monkeypatch) -> None:
+        # ``commute`` judges behavior, so its one caller's suite never calls
+        # it in CONCRETE mode, and the square there records nothing.
+        def unread(*args):
             raise AssertionError("a square gated off read a value")
-            yield
 
-        rb = ReportBuilder("s", 0, 1, EvaluationMode.CONCRETE)
-        check_square(rb, square, unread())
-        assert rb.build() == ReportBuilder("s", 0, 1, EvaluationMode.CONCRETE).build()
+        monkeypatch.setattr(suites, "commute", unread)
+        rep = suites.REGISTRY["queues/coherence"](0, 5, EvaluationMode.CONCRETE)
+        assert (rep.cases, rep.failures) == (0, ())
 
     def test_commute_returns_both_paths_and_records_one_case(self) -> None:
         rb = ReportBuilder("s", 0, 1)
@@ -473,15 +466,8 @@ class TestCheckSquare:
     ])
     def test_a_failure_records_through_fail(self, monkeypatch, mode: EvaluationMode, record: Failure) -> None:
         seen = noting_cases(monkeypatch)
-        square = SquareSpec(
-            law="square/broken",
-            f_top=lambda x: ret(x + 1),
-            f_abs=lambda x: ret(x - 1),
-            alpha_in=IDENTITY,
-            alpha_out=IDENTITY,
-        )
         rb = ReportBuilder("s", 0, 1, mode)
-        assert commute(rb, square, (10,), 10)[2] is False
+        assert commute(rb, self._BROKEN, (10,), 10)[2] is False
         assert seen == []
         assert (rb.cases, rb.failures) == (1, [record])
 

@@ -149,6 +149,11 @@ def half_charging_dequeue(s):
     return out
 
 
+def nonempty_batched_empty():
+    """Starts every batched queue holding a 7."""
+    return BatchedQueueState((7,), ())
+
+
 def normalising_glue(concrete, abstract, alpha):
     """Stores a batched state with more than one inbox element with its inbox reversed onto the outbox."""
     if isinstance(concrete, BatchedQueueState) and len(concrete.inbox) > 1:
@@ -220,6 +225,7 @@ MUTANTS = [
     (suites, "batched_dequeue", inbox_losing_dequeue),
     (suites, "batched_dequeue", free_dequeue),
     (suites, "batched_dequeue", half_charging_dequeue),
+    (suites, "batched_empty", nonempty_batched_empty),
     (suites, "glue", normalising_glue),
     (suites, "fracture", rebuilding_fracture),
 ]
@@ -251,3 +257,15 @@ def test_mutant_is_killed(monkeypatch, module, name: str, mutant) -> None:
         if not run(seed=0, iterations=40, mode=EvaluationMode.FULL).passed
     ]
     assert killers, f"{mutant.__name__} passes every suite"
+
+
+def test_only_the_empty_square_kills_a_nonempty_empty_queue(monkeypatch) -> None:
+    # Every coherence walk images its start, so walks from a wrong empty
+    # state still commute; only the law on the empty queue itself sees it.
+    monkeypatch.setattr(suites, "batched_empty", nonempty_batched_empty)
+    failed = {
+        suite: {f.law for f in rep.failures}
+        for suite, run in sorted(suites.REGISTRY.items())
+        if not (rep := run(seed=0, iterations=40, mode=EvaluationMode.FULL)).passed
+    }
+    assert failed == {"queues/coherence": {"queues/empty-square"}}

@@ -34,9 +34,9 @@ PINNED = {
         "concrete": "eea3c53359ca45014a079ea1f5c99d86baaef94f",
     },
     "queues/coherence": {
-        "full": "85dcad78c40ff33798bb0c87d6c5fd67d288ec00",
-        "abstract": "082f11f4e21938a74ae73529af347da0219c89d4",
-        "behavioral": "e573892ccc14ae8707669c99e9c495e79f478502",
+        "full": "5ca26ba352f69dfbad65899f7ee249b8c6cc645d",
+        "abstract": "a3967384cd6fb29bbeb73749b9905c1752f1aa1f",
+        "behavioral": "f895d2c90b0c5680d3b4f7d84cca6a3ade0153a7",
         "concrete": "4cbeab9e9e209bb506e8ff1e7ce4570e38d92328",
     },
     "queues/noninterference": {

@@ -588,23 +588,41 @@ def test_concrete_mode_counts_no_unjudged_case(name: str) -> None:
 
 
 @pytest.mark.parametrize("mode", [EvaluationMode.FULL, EvaluationMode.BEHAVIORAL])
-def test_queue_walk_commutes_each_step_at_two_representatives(mode: EvaluationMode) -> None:
-    # Each step's square commutes at the batched state and at a second
-    # representative of its image, against one step of the list queue.
-    exhaustive = suites.exhaustive_traces(4, (0, 1))
-    random_traces = [suites.random_trace(derive_rng(0, f"walk/{i}"), max_len=60) for i in range(10)]
-    for traces in (exhaustive, random_traces):
-        steps = sum(map(len, traces))
-        assert {op for t in traces for op, _ in t} == {"enqueue", "dequeue"}
+def test_queue_walk_commutes_each_step_at_two_representatives(
+        monkeypatch: pytest.MonkeyPatch, mode: EvaluationMode) -> None:
+    # Each step's square commutes at the batched state and, at a nonempty
+    # list, at a second representative of its image other than the state
+    # itself, against one step of the list queue.
+    calls = []  # (representatives, list state) per ``commute`` call
+    commute = suites.commute
+
+    def spy(rb, square, xs, x_abs):
+        calls.append((xs, x_abs[1] if square is suites.ENQUEUE_SQUARE else x_abs))
+        return commute(rb, square, xs, x_abs)
+
+    monkeypatch.setattr(suites, "commute", spy)
+    start = queues.BatchedQueueState((5, 4), (1, 2, 3))
+    exhaustive = [(queues.batched_empty(), t) for t in suites.exhaustive_traces(4, (0, 1))]
+    randoms = [(start if i % 2 else queues.batched_empty(), suites.random_trace(derive_rng(0, f"walk/{i}"), max_len=60))
+               for i in range(10)]
+    for walks in (exhaustive, randoms):
+        steps = sum(len(t) for _, t in walks)
+        assert {op for _, t in walks for op, _ in t} == {"enqueue", "dequeue"}
         rb, rng = ReportBuilder("walk", 0, 0, mode), derive_rng(0, "walk")
+        calls.clear()
 
         def walk() -> None:
-            for trace in traces:
-                suites._run_coherence_trace(rb, trace, rng)
+            for bat, trace in walks:
+                suites._run_coherence_trace(rb, bat, trace, rng)
 
-        assert sum(_calls(walk, queues.list_enqueue, queues.list_dequeue)) == steps
+        assert sum(_calls(walk, queues.list_enqueue, queues.list_dequeue)) == steps == len(calls)
         rep = rb.build()
-        assert rep.passed and rep.cases == 2 * steps
+        assert rep.passed and rep.cases == sum(len(xs) for xs, _ in calls)
+        assert {(bool(lst), len(xs)) for xs, lst in calls} == {(False, 1), (True, 2)}
+        assert all(xs[0] != xs[1] for xs, _ in calls if len(xs) == 2)
+    # A walk from a nonempty start images it: its first list state is ``start``'s image.
+    first = len(randoms[0][1])
+    assert calls[first][1] == (1, 2, 3, 4, 5)
 
 
 def test_concrete_queue_coherence_runs_no_abstraction() -> None:
